@@ -91,10 +91,11 @@ def binomial(n: int, k: int) -> int:
 def binomial_signed(a: int, k: int) -> int:
     """Generalized binomial C(a + k - 1, k): the coefficient of t^k in (1-t)^(-a).
 
-    Defined for every integer ``a`` by the rising-factorial product
+    Defined for every integer ``a`` as the rising-factorial quotient
     a (a+1) ... (a+k-1) / k!, so that symmetric-product counts stay defined
     for spaces whose Euler characteristic is zero or negative.  For a > 0 it
-    agrees with ``binomial(a + k - 1, k)``.
+    is ``math.comb(a + k - 1, k)``; for a <= 0 the reflection
+    C(a + k - 1, k) = (-1)^k C(-a, k) reduces it to ``math.comb`` as well.
 
     >>> binomial_signed(0, 3)
     0
@@ -107,8 +108,7 @@ def binomial_signed(a: int, k: int) -> int:
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    num = 1
-    for j in range(k):
-        num *= a + j
-    # the quotient is an integer for every integer a, so // is exact
-    return num // math.factorial(k)
+    if a > 0:
+        return math.comb(a + k - 1, k)
+    c = math.comb(-a, k)
+    return -c if k & 1 else c

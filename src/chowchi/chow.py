@@ -2,25 +2,36 @@
 
 C_{p,d}(P^n) is the Chow variety of effective algebraic p-cycles of degree d
 in complex projective n-space.  Its Euler characteristic is computed here by
-three routes that share nothing beyond the binomial primitive:
+three routes:
 
 * ``chow_euler_closed``: the Lawson-Yau formula C(v + d - 1, d) with
   v = C(n+1, p+1);
-* ``chow_euler_recursive``: a memoized recursion that descends in the
-  ambient dimension, seeded only by the three stated base cases;
+* ``chow_euler_recursive``: the suspension recursion, which descends in the
+  ambient dimension and is seeded only by its stated base cases;
 * ``chow_series`` (functional method): coefficients of the generating
   function Q_{p,n}(t), built strictly from the product recurrence
   Q_{p+1,n+1} = Q_{p+1,n} * Q_{p,n}.
 
-Agreement of the three over a parameter grid is the package's central
-self-check (see :mod:`chowchi.verify`).
+The recursion and the functional series are the same Cauchy convolution:
+chi(C_{p,0}) = 1 turns the recursion's leading term into the i = 0 summand
+of the product.  Their agreement therefore checks the implementation of that
+convolution; only the closed form is an independent derivation.  Agreement
+of the three over a parameter grid is the package's central self-check (see
+:mod:`chowchi.verify`).
+
+The recursive, point and functional routes fill module-level tables
+bottom-up in dependency order, so no result depends on Python's recursion
+limit.  A (p, n, d) query costs O(p * (n - p) * d^2) big-integer products
+the first time and one lookup once its entry exists; ``cache_clear()`` on a
+table empties it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from operator import mul
 
+from . import _tables
 from .binomials import binomial
 from .series import TruncatedSeries, series_coefficient, series_geom_pow, series_mul
 
@@ -107,19 +118,24 @@ def chow_euler_closed(params: ChowParams) -> EulerValue:
     return EulerValue(chi, METHOD_CLOSED)
 
 
-@cache
-def _chi_recursive(p: int, n: int, d: int) -> int:
-    # Base cases, and nothing derived from the closed form: degree zero,
-    # the unique degree-d cycle when p == n, and 0-cycles (symmetric products).
-    if d == 0 or p == n:
-        return 1
-    if p == 0:
-        return binomial(n + d, d)
-    m = n - 1   # the recursion descends in the ambient dimension
-    return _chi_recursive(p - 1, m, d) + sum(
-        _chi_recursive(p, m, i) * _chi_recursive(p - 1, m, d - i)
-        for i in range(1, d + 1)
-    )
+def _grow_suspension(rows: dict, a: int, b: int, length: int) -> None:
+    # Row (a, b) holds chi(C_{a,e}(P^{a+b})) for e < len(row).
+    row = rows.setdefault((a, b), [])
+    degrees = range(len(row), length)
+    # Base cases, and nothing derived from the closed form: the unique
+    # degree-e cycle when p == n, and 0-cycles (symmetric products).
+    # Degree zero needs none: the recursion gives 1 there.
+    if b == 0:
+        row.extend(1 for _ in degrees)
+    elif a == 0:
+        row.extend(binomial(b + e, e) for e in degrees)
+    else:
+        left, down = rows[a, b - 1], rows[a - 1, b]
+        for e in degrees:
+            row.append(down[e] + sum(map(mul, left[1:e + 1], reversed(down[:e]))))
+
+
+_SUSPENSION = _tables.GridTable(len, _grow_suspension)
 
 
 def chow_euler_recursive(params: ChowParams) -> EulerValue:
@@ -128,23 +144,30 @@ def chow_euler_recursive(params: ChowParams) -> EulerValue:
         chi(C_{p+1,d}(P^{n+1})) = chi(C_{p,d}(P^n))
             + sum_{i=1}^{d} chi(C_{p+1,i}(P^n)) * chi(C_{p,d-i}(P^n)),
 
-    memoized on (p, n, d).  Only three base cases are used (d = 0, p = n,
-    and the 0-cycle count C(n+d, d)), so agreement with ``chow_euler_closed``
-    is a genuine cross-check rather than a tautology.
+    evaluated bottom-up into a table of rows keyed by (p, n - p).  Only two
+    base cases are used (p = n, and the 0-cycle count C(n+d, d)); degree zero
+    follows from the recursion.  Its agreement with ``chow_euler_closed``
+    checks the closed form against an independent derivation.
 
     >>> chow_euler_recursive(ChowParams(1, 2, 2)).chi
     6
     >>> chow_euler_recursive(ChowParams(2, 2, 7)).chi
     1
     """
-    return EulerValue(_chi_recursive(params.p, params.n, params.d), METHOD_RECURSIVE)
+    row = _SUSPENSION.cell(params.p, params.n - params.p, params.d + 1)
+    return EulerValue(row[params.d], METHOD_RECURSIVE)
 
 
-@cache
-def _chi_points(n: int, d: int) -> int:
-    if n == 0 or d == 0:
-        return 1
-    return 1 + sum(_chi_points(n - 1, i) for i in range(1, d + 1))
+def _grow_points(rows: dict, m: int, _: int, length: int) -> None:
+    # Row (m, 0) holds chi(C_{0,e}(P^m)) for e < len(row); it draws on row
+    # (m - 1, 0) alone.
+    row = rows.setdefault((m, 0), [])
+    for e in range(len(row), length):
+        # 1 + sum_{i<=e} chi(C_{0,i}(P^{m-1})), telescoped in e
+        row.append(1 if m == 0 or e == 0 else row[e - 1] + rows[m - 1, 0][e])
+
+
+_POINTS = _tables.GridTable(len, _grow_points)
 
 
 def points_euler_recursive(n: int, d: int) -> int:
@@ -153,8 +176,9 @@ def points_euler_recursive(n: int, d: int) -> int:
         chi(C_{0,d}(P^{n+1})) = 1 + sum_{i=1}^{d} chi(C_{0,i}(P^n)),
 
     with base chi(C_{0,d}(P^0)) = 1 (a point carries one cycle per degree).
-    This never touches the binomial table, making it an independent oracle
-    for the 0-cycle value C(n+d, d).
+    The sum is telescoped, so a table of rows per n is extended in O(n * d)
+    additions.  This never touches the binomial table, making it an
+    independent oracle for the 0-cycle value C(n+d, d).
 
     >>> points_euler_recursive(0, 5)
     1
@@ -165,19 +189,29 @@ def points_euler_recursive(n: int, d: int) -> int:
     """
     if n < 0 or d < 0:
         raise ValueError(f"require n >= 0 and d >= 0, got n={n}, d={d}")
-    return _chi_points(n, d)
+    return _POINTS.cell(n, 0, d + 1)[d]
 
 
-@cache
-def _q_functional(p: int, n: int, order: int) -> TruncatedSeries:
-    if p == 0:
-        return series_geom_pow(n + 1, order)   # Q_{0,m} = (1/(1-t))^{m+1}
-    if p == n:
-        return series_geom_pow(1, order)       # Q_{q,q} = 1/(1-t)
-    return series_mul(
-        _q_functional(p, n - 1, order),
-        _q_functional(p - 1, n - 1, order),
-    )
+def _truncate(s: TruncatedSeries, order: int) -> TruncatedSeries:
+    # Truncation is a ring homomorphism, so a prefix of a higher-order
+    # series is the series at the lower order.
+    return s if s.order == order else TruncatedSeries(s.coeffs[:order + 1])
+
+
+def _grow_functional(cells: dict, a: int, b: int, size: int) -> None:
+    # Cell (a, b) holds Q_{a,a+b}(t) at the largest order built so far.
+    order = size - 1
+    if a == 0:
+        s = series_geom_pow(b + 1, order)   # Q_{0,m} = (1/(1-t))^{m+1}
+    elif b == 0:
+        s = series_geom_pow(1, order)       # Q_{q,q} = 1/(1-t)
+    else:
+        s = series_mul(_truncate(cells[a, b - 1], order),
+                       _truncate(cells[a - 1, b], order))
+    cells[a, b] = s
+
+
+_FUNCTIONAL = _tables.GridTable(lambda s: len(s.coeffs), _grow_functional)
 
 
 def chow_series(p: int, n: int, order: int, method: str = SERIES_CLOSED) -> TruncatedSeries:
@@ -203,15 +237,15 @@ def chow_series(p: int, n: int, order: int, method: str = SERIES_CLOSED) -> Trun
     if method == SERIES_CLOSED:
         return series_geom_pow(v_pn(p, n), order)
     if method == SERIES_FUNCTIONAL:
-        return _q_functional(p, n, order)
+        return _truncate(_FUNCTIONAL.cell(p, n - p, order + 1), order)
     raise ValueError(f"unknown series method {method!r}")
 
 
 def chow_euler_series(params: ChowParams, order: int | None = None) -> EulerValue:
     """chi(C_{p,d}(P^n)) read off as a functional-equation series coefficient.
 
-    The third independent route: the degree-d coefficient of the series built
-    by ``chow_series(..., method="functional")``.  ``order`` defaults to the
+    The third route: the degree-d coefficient of the series built by
+    ``chow_series(..., method="functional")``.  ``order`` defaults to the
     degree itself and must not be smaller.
 
     >>> chow_euler_series(ChowParams(1, 3, 2)).chi

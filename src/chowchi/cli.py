@@ -10,6 +10,7 @@ verification, 1 when any cross-check disagrees, 2 for usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -227,10 +228,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift Python's int-to-str digit limit (CVE-2020-10735) for one command.
+
+    Counts of any size must render as decimal strings.  The limit is
+    process-wide, so the caller's value is restored afterwards instead of
+    being changed at import.
+    """
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:       # an interpreter without the limit
+        yield
+        return
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with _unlimited_int_digits():
+            return args.func(args)
     except ValueError as exc:
         print(f"chowchi: error: {exc}", file=sys.stderr)
         return 2

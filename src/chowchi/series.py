@@ -9,6 +9,7 @@ unambiguous.  Values are immutable and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .binomials import binomial
 
@@ -81,7 +82,7 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
         raise ValueError(f"series order mismatch: {a.order} != {b.order}")
     ca, cb = a.coeffs, b.coeffs
     out = [
-        sum(ca[i] * cb[d - i] for i in range(d + 1))
+        sum(map(mul, ca[:d + 1], reversed(cb[:d + 1])))
         for d in range(a.order + 1)
     ]
     return TruncatedSeries(tuple(out))

@@ -1,7 +1,14 @@
 """Cycle-space Euler characteristics: the three routes and their identities."""
 
-import pytest
+import math
+import random
+import sys
+import threading
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from chowchi import chow
 from chowchi.binomials import binomial
 from chowchi.chow import (
     ChowParams,
@@ -163,3 +170,84 @@ def test_chi_is_one_exactly_on_degenerate_cells():
                 chi = chow_euler_closed(ChowParams(p, n, d)).chi
                 assert chi >= 1
                 assert (chi == 1) == (p == n or d == 0)
+
+
+def closed(p, n, d):
+    return math.comb(math.comb(n + 1, p + 1) + d - 1, d)
+
+
+def clear_tables():
+    for table in (chow._SUSPENSION, chow._POINTS, chow._FUNCTIONAL):
+        table.cache_clear()
+
+
+def test_routes_do_not_recurse_in_the_ambient_dimension():
+    # n = 1200 is past the default recursion limit of 1000
+    clear_tables()
+    assert chow_euler_recursive(ChowParams(1, 1200, 3)).chi == closed(1, 1200, 3)
+    assert chow_series(1, 1200, 3, "functional").coeffs \
+        == tuple(closed(1, 1200, e) for e in range(4))
+    assert points_euler_recursive(1200, 3) == math.comb(1203, 3)
+
+
+@st.composite
+def route_queries(draw):
+    n = draw(st.integers(0, 9))
+    p = draw(st.integers(0, n))
+    kind = draw(st.sampled_from(["recursive", "points", "functional"]))
+    return kind, p, n, draw(st.integers(0, 24))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(route_queries(), min_size=1, max_size=12), st.integers(0, 6))
+@example([("recursive", 0, 0, 0), ("functional", 4, 4, 0), ("points", 0, 0, 7),
+          ("recursive", 5, 5, 9), ("functional", 0, 3, 5)], 3)
+def test_tables_answer_any_query_sequence(queries, k):
+    # Boxes grow and shrink and orders rise and fall between queries; every
+    # answer is the closed form, and a lower order is a prefix of a higher one.
+    clear_tables()
+    for kind, p, n, d in queries:
+        if kind == "recursive":
+            assert chow_euler_recursive(ChowParams(p, n, d)).chi == closed(p, n, d)
+        elif kind == "points":
+            assert points_euler_recursive(n, d) == math.comb(n + d, d)
+        else:
+            s = chow_series(p, n, d, "functional")
+            assert s.coeffs == tuple(closed(p, n, e) for e in range(d + 1))
+            assert chow_series(p, n, d + k, "functional").coeffs[:d + 1] == s.coeffs
+            assert chow_series(p, n, d, "functional") == s
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_tables_grow_consistently_under_concurrent_queries(seed):
+    clear_tables()
+    errors = []
+
+    def worker(seed):
+        rng = random.Random(seed)
+        for _ in range(60):
+            n = rng.randint(0, 10)
+            p, d = rng.randint(0, n), rng.randint(0, 40)
+            try:
+                got = (chow_euler_recursive(ChowParams(p, n, d)).chi,
+                       points_euler_recursive(n, d),
+                       series_coefficient(chow_series(p, n, d, "functional"), d))
+            except Exception as exc:    # a half-grown table can raise here
+                errors.append(exc)
+                return
+            if got != (closed(p, n, d), math.comb(n + d, d), closed(p, n, d)):
+                errors.append((p, n, d))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    threads = [threading.Thread(target=worker, args=(6 * seed + i,))
+               for i in range(6)]
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour through in-process main() calls."""
 
+import contextlib
 import json
 import math
 import subprocess
@@ -15,6 +16,16 @@ def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@contextlib.contextmanager
+def unlimited_int_digits():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_chow_all_methods_agree(capsys):
@@ -55,6 +66,35 @@ def test_chow_large_value_survives_json(capsys):
     value = payload["results"][0]["value"]
     assert isinstance(value, str)
     assert int(value) == math.comb(math.comb(9, 2) + 11, 12)
+
+
+def test_chow_value_over_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run_cli(capsys, ["chow", "--p", "5", "--n", "20", "--d", "10000"])
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit    # restored after the command
+    with unlimited_int_digits():
+        expected = str(math.comb(math.comb(21, 6) + 9999, 10000))
+    assert len(expected) > 4300
+    assert json.loads(out)["results"] == [{"method": "closed", "value": expected}]
+
+
+def test_table_values_over_digit_limit(capsys):
+    code, out, _ = run_cli(
+        capsys, ["table", "--p", "10", "--n", "40", "--max-d", "650", "--format", "csv"])
+    assert code == 0
+    v = math.comb(41, 11)
+    with unlimited_int_digits():
+        rows = [f"{d},{math.comb(v + d - 1, d)}" for d in range(651)]
+    assert out == "\n".join(["d,chi", *rows]) + "\n"
+
+
+def test_recursive_route_past_recursion_limit(capsys):
+    code, out, _ = run_cli(
+        capsys, ["chow", "--p", "1", "--n", "1200", "--d", "3", "--method", "recursive"])
+    assert code == 0
+    value = json.loads(out)["results"][0]["value"]
+    assert value == str(math.comb(math.comb(1201, 2) + 2, 3))
 
 
 def test_series_json(capsys):

@@ -1,5 +1,7 @@
 """Group-invariant cycles, quaternionic cycle spaces, symmetric products."""
 
+import math
+
 import pytest
 
 from chowchi.binomials import binomial
@@ -130,6 +132,13 @@ def test_sp_euler_matches_series_expansion():
         coeffs = expand_inv_one_minus_t(chi, 12)
         for d in range(13):
             assert sp_euler(chi, d) == coeffs[d]
+
+
+def test_sp_euler_at_large_degree():
+    # a loop over the d factors would take seconds at this degree
+    assert sp_euler(5, 200000) == math.comb(200004, 200000)
+    assert sp_euler(-5, 200000) == 0
+    assert sp_euler(-200000, 5) == -math.comb(200000, 5)
 
 
 def test_sp_euler_rejects_negative_degree():
