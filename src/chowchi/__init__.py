@@ -16,7 +16,7 @@ The ``chowchi`` command line tool exposes the same computations plus the
 cross-checking sweeps; see ``chowchi --help``.
 """
 
-from .binomials import BinomialTable, binomial, binomial_signed
+from .binomials import binomial, binomial_signed
 from .chow import (
     ChowParams,
     EulerValue,
@@ -43,7 +43,6 @@ from .verify import VerificationReport, run_suite
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinomialTable",
     "binomial",
     "binomial_signed",
     "TruncatedSeries",

@@ -1,4 +1,4 @@
-"""Exact binomial coefficients backed by a grow-on-demand Pascal table.
+"""Exact binomial coefficients: ``math.comb`` with the package's conventions.
 
 Everything here is plain Python ``int`` arithmetic, which is arbitrary
 precision, so no count computed by this package is ever rounded.
@@ -7,76 +7,16 @@ precision, so no count computed by this package is ever rounded.
 from __future__ import annotations
 
 import math
-import threading
 
-__all__ = ["BinomialTable", "binomial", "binomial_signed"]
-
-
-class BinomialTable:
-    """Triangular cache of C(n, k), filled row by row with the Pascal rule.
-
-    ``n_max`` bounds the cached triangle: rows up to ``n_max`` are built
-    lazily as they are first requested, while larger upper arguments are
-    answered directly by ``math.comb`` and never cached, so an isolated huge
-    query cannot balloon the table.  Each new row is completed before it is
-    published, and growth happens under a lock, so concurrent readers never
-    observe a partially filled row.
-
-    >>> t = BinomialTable(8)
-    >>> t.value(4, 2)
-    6
-    >>> t.value(100, 3)   # beyond the cache bound: computed directly
-    161700
-    """
-
-    def __init__(self, n_max: int = 512):
-        if n_max < 0:
-            raise ValueError(f"n_max must be nonnegative, got {n_max}")
-        self._n_max = n_max
-        self._rows = [[1]]
-        self._lock = threading.Lock()
-
-    @property
-    def n_max(self) -> int:
-        """Largest row index this table will cache."""
-        return self._n_max
-
-    @property
-    def rows_cached(self) -> int:
-        """Number of rows currently materialized (at most ``n_max`` + 1)."""
-        return len(self._rows)
-
-    def _grow(self, n: int) -> None:
-        with self._lock:
-            while len(self._rows) <= n:
-                prev = self._rows[-1]
-                row = [1]
-                for k in range(1, len(prev)):
-                    row.append(prev[k - 1] + prev[k])
-                row.append(1)
-                self._rows.append(row)
-
-    def value(self, n: int, k: int) -> int:
-        """C(n, k), with the convention that out-of-range ``k`` gives 0."""
-        if n < 0:
-            raise ValueError(f"upper argument must be nonnegative, got n={n}")
-        if k < 0 or k > n:
-            return 0
-        if n > self._n_max:
-            return math.comb(n, k)
-        if n >= len(self._rows):
-            self._grow(n)
-        return self._rows[n][k]
-
-
-_TABLE = BinomialTable()
+__all__ = ["binomial", "binomial_signed"]
 
 
 def binomial(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k), cached in a shared Pascal table.
+    """Binomial coefficient C(n, k), computed exactly by ``math.comb``.
 
     Out-of-range ``k`` yields 0 rather than an error, which keeps convolution
-    sums index-safe without explicit range clamping at every call site.
+    sums index-safe without explicit range clamping at every call site; a
+    negative ``n`` is an error.
 
     >>> binomial(4, 2)
     6
@@ -85,7 +25,11 @@ def binomial(n: int, k: int) -> int:
     >>> binomial(5, 7)
     0
     """
-    return _TABLE.value(n, k)
+    if n < 0:
+        raise ValueError(f"upper argument must be nonnegative, got n={n}")
+    if k < 0:
+        return 0
+    return math.comb(n, k)
 
 
 def binomial_signed(a: int, k: int) -> int:

@@ -177,8 +177,8 @@ def points_euler_recursive(n: int, d: int) -> int:
 
     with base chi(C_{0,d}(P^0)) = 1 (a point carries one cycle per degree).
     The sum is telescoped, so a table of rows per n is extended in O(n * d)
-    additions.  This never touches the binomial table, making it an
-    independent oracle for the 0-cycle value C(n+d, d).
+    additions.  This never calls ``binomial``, making it an independent
+    oracle for the 0-cycle value C(n+d, d).
 
     >>> points_euler_recursive(0, 5)
     1

@@ -136,11 +136,9 @@ def _cmd_quaternionic(args) -> int:
 def _cmd_table(args) -> int:
     if args.max_d < 0:
         raise ValueError(f"max_d must be nonnegative, got {args.max_d}")
-    ChowParams(args.p, args.n, 0)   # validate p, n early
-    rows = [
-        (str(d), str(chow_euler_closed(ChowParams(args.p, args.n, d)).chi))
-        for d in range(args.max_d + 1)
-    ]
+    # the closed series is the whole table; it also validates p and n
+    coeffs = chow_series(args.p, args.n, args.max_d).coeffs
+    rows = [(str(d), str(chi)) for d, chi in enumerate(coeffs)]
     if args.format == "json":
         _print_json({
             "query": _query("table", p=args.p, n=args.n, max_d=args.max_d),

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .binomials import binomial, binomial_signed
-from .chow import ChowParams, v_pn
+from .chow import ChowParams, chow_euler_closed
 
 __all__ = [
     "QuaternionicParams",
@@ -55,32 +55,33 @@ def g_invariant_euler(params: ChowParams) -> int:
     linear group action.
 
     The count C(v + d - 1, d) does not depend on which diagonalizable group
-    acts and coincides with the unconstrained value of ``chow_euler_closed``.
-    Diagonalizability is a caller obligation; the representation itself is
-    not modeled.  The count also satisfies the same suspension recursion as
-    the plain cycle spaces, which ``chow_euler_recursive`` exercises.
+    acts and coincides with the unconstrained value, so it is read from
+    ``chow_euler_closed``.  Diagonalizability is a caller obligation; the
+    representation itself is not modeled.  The count also satisfies the same
+    suspension recursion as the plain cycle spaces, which
+    ``chow_euler_recursive`` exercises.
 
     >>> g_invariant_euler(ChowParams(0, 1, 2))
     3
     >>> g_invariant_euler(ChowParams(2, 2, 9))
     1
     """
-    return binomial(v_pn(params.p, params.n) + params.d - 1, params.d)
+    return chow_euler_closed(params).chi
 
 
 def quaternionic_euler_closed(params: QuaternionicParams) -> int:
     """chi(C_{p,d}(n)) = C(C(2n, p+1) + d - 1, d) for right quaternionic cycles.
 
     Equal to chi(C_{p,d}(P^{2n-1})): the involution is induced by a
-    diagonalizable linear map, so fixing by it does not change the count.
+    diagonalizable linear map, so fixing by it does not change the count,
+    which is read from ``chow_euler_closed`` on that ambient space.
 
     >>> quaternionic_euler_closed(QuaternionicParams(0, 1, 2))
     3
     >>> quaternionic_euler_closed(QuaternionicParams(1, 1, 5))
     1
     """
-    v = binomial(2 * params.n, params.p + 1)
-    return binomial(v + params.d - 1, params.d)
+    return chow_euler_closed(ChowParams(params.p, 2 * params.n - 1, params.d)).chi
 
 
 def quaternionic_p0_oracle(n: int, d: int) -> int:

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from .binomials import binomial
-
 __all__ = [
     "TruncatedSeries",
     "series_geom_pow",
@@ -50,9 +48,11 @@ class TruncatedSeries:
 def series_geom_pow(m: int, order: int) -> TruncatedSeries:
     """Expansion of (1/(1-t))^m truncated at ``order``.
 
-    The coefficient of t^d is C(m + d - 1, d), taken straight from the Pascal
-    table; no series inversion is involved.  For m = 0 the result is the
-    constant series 1.
+    The coefficient of t^d is C(m + d - 1, d).  Each one follows from the
+    previous by the ratio (m + d - 1) / d, and the division is exact because
+    d * C(m + d - 1, d) = (m + d - 1) * C(m + d - 2, d - 1); so a row costs
+    ``order`` big-integer steps and no series inversion.  For m = 0 the
+    result is the constant series 1.
 
     >>> series_geom_pow(2, 3).coeffs
     (1, 2, 3, 4)
@@ -67,7 +67,7 @@ def series_geom_pow(m: int, order: int) -> TruncatedSeries:
         raise ValueError(f"order must be nonnegative, got {order}")
     coeffs = [1]
     for d in range(1, order + 1):
-        coeffs.append(binomial(m + d - 1, d))
+        coeffs.append(coeffs[-1] * (m + d - 1) // d)
     return TruncatedSeries(tuple(coeffs))
 
 

@@ -3,11 +3,14 @@
 import contextlib
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import chowchi
 import chowchi.verify as verify_mod
 from chowchi.cli import build_parser, main
 
@@ -181,6 +184,14 @@ def test_table_csv(capsys):
         ["table", "--p", "0", "--n", "1", "--max-d", "4", "--format", "csv"])
     assert code == 0
     assert out == "d,chi\n0,1\n1,2\n2,3\n3,4\n4,5\n"
+    # p = n: one cycle in each degree; --max-d 0: the degree-zero row alone
+    for argv, expected in (
+        (["--p", "2", "--n", "2", "--max-d", "3"], "d,chi\n0,1\n1,1\n2,1\n3,1\n"),
+        (["--p", "1", "--n", "3", "--max-d", "0"], "d,chi\n0,1\n"),
+    ):
+        code, out, _ = run_cli(capsys, ["table", *argv, "--format", "csv"])
+        assert code == 0
+        assert out == expected, argv
 
 
 def test_table_json(capsys):
@@ -232,6 +243,10 @@ def test_invalid_parameters_exit_two(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("chowchi: error:")
+    code, out, err = run_cli(capsys, ["table", "--p", "2", "--n", "1", "--max-d", "3"])
+    assert code == 2
+    assert out == ""
+    assert err == "chowchi: error: require 0 <= p <= n, got p=2, n=1\n"
 
 
 def test_negative_degree_exits_two(capsys):
@@ -270,9 +285,13 @@ def test_value_commands_are_deterministic(capsys, argv):
 
 
 def test_module_entry_point():
+    # run the checkout under test, whether or not PYTHONPATH names it
+    src = str(Path(chowchi.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "chowchi",
          "chow", "--p", "1", "--n", "2", "--d", "2"],
-        capture_output=True, text=True, check=False)
+        capture_output=True, text=True, check=False,
+        env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"][0]["value"] == "6"

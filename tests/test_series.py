@@ -1,5 +1,7 @@
 """Truncated integer power series: construction, products, ring laws."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -88,6 +90,10 @@ def test_geom_pow_coefficients_are_signed_binomials():
         s = series_geom_pow(m, 20)
         for d in range(21):
             assert series_coefficient(s, d) == binomial_signed(m, d)
+    # the ratio recurrence at the edges m = 0, 1 and at a huge exponent
+    for m in (0, 1, math.comb(60, 30)):
+        expected = [1] + [math.comb(m + d - 1, d) for d in range(1, 61)]
+        assert list(series_geom_pow(m, 60).coeffs) == expected, m
 
 
 @st.composite
