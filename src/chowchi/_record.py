@@ -1,0 +1,45 @@
+"""Immutable value records whose fields are their ``__slots__``.
+
+A subclass lists its fields in ``__slots__`` and writes an ``__init__`` that
+validates its arguments and stores each field with ``set_field``.
+Equality (only with the same type), hashing, the ``Name(field=value, ...)``
+repr and pickling follow from the field values; assigning or deleting a
+field raises ``AttributeError``.
+"""
+
+__all__ = ["Record", "set_field"]
+
+# Stores a field past the record's assignment guard; a module-level name is
+# cheaper to call than ``object.__setattr__``, and verify builds records by
+# the hundred thousand.
+set_field = object.__setattr__
+
+
+class Record:
+    """Base of the package's value types; see the module docstring."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -28,10 +28,10 @@ table empties it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 
 from . import _tables
+from ._record import Record, set_field
 from .binomials import binomial
 from .series import TruncatedSeries, series_coefficient, series_geom_pow, series_mul
 
@@ -60,31 +60,41 @@ SERIES_CLOSED = "closed"
 SERIES_FUNCTIONAL = "functional"
 
 
-@dataclass(frozen=True)
-class ChowParams:
+class ChowParams(Record):
     """The triple (p, n, d) indexing the cycle space C_{p,d}(P^n).
 
     p is the cycle dimension, n the ambient projective dimension, d the
     degree; validity means 0 <= p <= n and d >= 0.
+
+    >>> ChowParams(p=1, n=3, d=2)
+    ChowParams(p=1, n=3, d=2)
     """
 
+    __slots__ = ("p", "n", "d")
     p: int
     n: int
     d: int
 
-    def __post_init__(self):
-        if not 0 <= self.p <= self.n:
-            raise ValueError(f"require 0 <= p <= n, got p={self.p}, n={self.n}")
-        if self.d < 0:
-            raise ValueError(f"degree must be nonnegative, got d={self.d}")
+    def __init__(self, p: int, n: int, d: int):
+        if not 0 <= p <= n:
+            raise ValueError(f"require 0 <= p <= n, got p={p}, n={n}")
+        if d < 0:
+            raise ValueError(f"degree must be nonnegative, got d={d}")
+        set_field(self, "p", p)
+        set_field(self, "n", n)
+        set_field(self, "d", d)
 
 
-@dataclass(frozen=True)
-class EulerValue:
+class EulerValue(Record):
     """An Euler characteristic together with the route that produced it."""
 
+    __slots__ = ("chi", "method")
     chi: int
     method: str
+
+    def __init__(self, chi: int, method: str):
+        set_field(self, "chi", chi)
+        set_field(self, "method", method)
 
 
 def v_pn(p: int, n: int) -> int:

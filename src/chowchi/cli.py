@@ -4,7 +4,9 @@ quaternionic checks, and the verification sweeps.
 Output is deterministic for a given command line.  Every number inside JSON
 output is a decimal string, never a float, so arbitrarily large counts pass
 through any JSON consumer unchanged.  Exit codes: 0 for success or a clean
-verification, 1 when any cross-check disagrees, 2 for usage errors.
+verification, 1 when any cross-check disagrees, 2 for usage errors, and 141
+(the shell's code for death by SIGPIPE) when the reader closes stdout before
+the output is written, as ``chowchi verify | head -1`` may.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 
 from .chow import (
@@ -31,7 +34,9 @@ from .invariants import (
 )
 from .verify import SUITE_NAMES, run_suite
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "EXIT_BROKEN_PIPE"]
+
+EXIT_BROKEN_PIPE = 141
 
 
 def _query(subcommand: str, **params) -> dict:
@@ -250,7 +255,16 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         with _unlimited_int_digits():
-            return args.func(args)
+            code = args.func(args)
+        # a closed pipe must surface here, not in the interpreter's last flush
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"chowchi: error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the unwritten rest goes to devnull, so the final flush stays silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE

@@ -11,8 +11,7 @@ Grassmannians for d = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record, set_field
 from .binomials import binomial, binomial_signed
 from .chow import ChowParams, chow_euler_closed
 
@@ -27,27 +26,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuaternionicParams:
+class QuaternionicParams(Record):
     """The triple (p, n, d) indexing the right quaternionic cycle space C_{p,d}(n).
 
     The ambient space is P^{2n-1}, so validity means n >= 1, 0 <= p <= 2n-1
     and d >= 0.
     """
 
+    __slots__ = ("p", "n", "d")
     p: int
     n: int
     d: int
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"quaternionic dimension must be >= 1, got n={self.n}")
-        if not 0 <= self.p <= 2 * self.n - 1:
-            raise ValueError(
-                f"require 0 <= p <= 2n-1, got p={self.p} with n={self.n}"
-            )
-        if self.d < 0:
-            raise ValueError(f"degree must be nonnegative, got d={self.d}")
+    def __init__(self, p: int, n: int, d: int):
+        if n < 1:
+            raise ValueError(f"quaternionic dimension must be >= 1, got n={n}")
+        if not 0 <= p <= 2 * n - 1:
+            raise ValueError(f"require 0 <= p <= 2n-1, got p={p} with n={n}")
+        if d < 0:
+            raise ValueError(f"degree must be nonnegative, got d={d}")
+        set_field(self, "p", p)
+        set_field(self, "n", n)
+        set_field(self, "d", d)
 
 
 def g_invariant_euler(params: ChowParams) -> int:

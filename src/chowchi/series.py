@@ -8,8 +8,9 @@ unambiguous.  Values are immutable and safe to share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
+
+from ._record import Record, set_field
 
 __all__ = [
     "TruncatedSeries",
@@ -19,8 +20,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(Record):
     """Coefficients c_0 .. c_order of a formal power series in t.
 
     Equality is coefficientwise and holds only between series of equal order.
@@ -31,13 +31,14 @@ class TruncatedSeries:
     False
     """
 
+    __slots__ = ("coeffs",)
     coeffs: tuple[int, ...]
 
-    def __post_init__(self):
-        coeffs = tuple(int(c) for c in self.coeffs)
+    def __init__(self, coeffs):
+        coeffs = tuple(int(c) for c in coeffs)
         if not coeffs:
             raise ValueError("a series carries at least its constant coefficient")
-        object.__setattr__(self, "coeffs", coeffs)
+        set_field(self, "coeffs", coeffs)
 
     @property
     def order(self) -> int:

@@ -9,9 +9,9 @@ full run finishes in seconds.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Any
 
+from ._record import Record, set_field
 from .binomials import binomial, binomial_signed
 from .chow import (
     ChowParams,
@@ -48,25 +48,47 @@ __all__ = [
 SUITE_NAMES = ("recursion", "series", "quaternionic", "base-cases", "all")
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(Record):
     """One disagreement between two computation paths, with its inputs."""
 
+    __slots__ = ("inputs", "expected_path", "expected_value",
+                 "actual_path", "actual_value")
     inputs: dict[str, str]
     expected_path: str
     expected_value: str
     actual_path: str
     actual_value: str
 
+    def __init__(self, inputs: dict[str, str], expected_path: str,
+                 expected_value: str, actual_path: str, actual_value: str):
+        set_field(self, "inputs", inputs)
+        set_field(self, "expected_path", expected_path)
+        set_field(self, "expected_value", expected_value)
+        set_field(self, "actual_path", actual_path)
+        set_field(self, "actual_value", actual_value)
 
-@dataclass
-class VerificationReport:
-    """Outcome of a consistency sweep: case count, failures, wall time."""
 
+class VerificationReport(Record):
+    """Outcome of a consistency sweep: case count, failures, wall time.
+
+    Unlike the other records it is mutable and unhashable: suites fill it in.
+    """
+
+    __slots__ = ("suite", "cases_run", "failures", "elapsed_ms")
     suite: str
-    cases_run: int = 0
-    failures: list[Failure] = field(default_factory=list)
-    elapsed_ms: int = 0
+    cases_run: int
+    failures: list[Failure]
+    elapsed_ms: int
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, suite: str, cases_run: int = 0,
+                 failures: list[Failure] | None = None, elapsed_ms: int = 0):
+        self.suite = suite
+        self.cases_run = cases_run
+        self.failures = [] if failures is None else failures
+        self.elapsed_ms = elapsed_ms
 
     @property
     def ok(self) -> bool:
@@ -131,6 +153,9 @@ def recursion_suite(
     for n in range(max_n + 1):
         for p in range(min(max_p, n) + 1):
             q = chow_series(p, n, order, method=SERIES_FUNCTIONAL)
+            # grow the suspension row to max_d once, so each degree below
+            # is a lookup instead of a scan of the whole box
+            chow_euler_recursive(ChowParams(p, n, max_d))
             for d in range(max_d + 1):
                 params = ChowParams(p, n, d)
                 closed = chow_euler_closed(params).chi
@@ -192,33 +217,33 @@ def series_suite(
     """
     report = VerificationReport("series")
     t0 = time.perf_counter()
+    geom = [series_geom_pow(m, order) for m in range(2 * max_pow + 1)]
     for a in range(max_pow + 1):
         for b in range(max_pow + 1):
             report.check(
                 {"check": "geom-pow-additivity", "a": a, "b": b, "order": order},
-                "direct", series_geom_pow(a + b, order).coeffs,
-                "product",
-                series_mul(series_geom_pow(a, order), series_geom_pow(b, order)).coeffs,
+                "direct", geom[a + b].coeffs,
+                "product", series_mul(geom[a], geom[b]).coeffs,
             )
     for method in (SERIES_CLOSED, SERIES_FUNCTIONAL):
+        # Q_{p,n} for every p, one ambient dimension at a time: each series
+        # is built once and only two dimensions are held
+        row = [chow_series(p, 1, order, method) for p in range(2)]
         for n in range(1, max_n + 1):
+            up = [chow_series(p, n + 1, order, method) for p in range(n + 2)]
             for p in range(n):
                 report.check(
                     {"check": "series-factorization", "p": p, "n": n,
                      "order": order, "method": method},
-                    "direct", chow_series(p + 1, n + 1, order, method).coeffs,
-                    "product",
-                    series_mul(
-                        chow_series(p + 1, n, order, method),
-                        chow_series(p, n, order, method),
-                    ).coeffs,
+                    "direct", up[p + 1].coeffs,
+                    "product", series_mul(row[p + 1], row[p]).coeffs,
                 )
+            row = up
     for m in range(max_pow + 1):
-        s = series_geom_pow(m, order)
         for d in range(order + 1):
             report.check(
                 {"check": "signed-binomial-vs-series", "m": m, "d": d},
-                "series", series_coefficient(s, d),
+                "series", series_coefficient(geom[m], d),
                 "signed-binomial", binomial_signed(m, d),
             )
     return _finish(report, t0)

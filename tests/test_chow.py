@@ -24,12 +24,12 @@ from chowchi.series import series_coefficient, series_mul
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^require 0 <= p <= n, got p=2, n=1$"):
         ChowParams(2, 1, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^require 0 <= p <= n, got p=-1, n=3$"):
         ChowParams(-1, 3, 0)
-    with pytest.raises(ValueError):
-        ChowParams(1, 3, -1)
+    with pytest.raises(ValueError, match="^degree must be nonnegative, got d=-1$"):
+        ChowParams(p=1, n=3, d=-1)
 
 
 def test_v_pn_values():

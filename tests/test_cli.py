@@ -12,7 +12,7 @@ import pytest
 
 import chowchi
 import chowchi.verify as verify_mod
-from chowchi.cli import build_parser, main
+from chowchi.cli import EXIT_BROKEN_PIPE, build_parser, main
 
 
 def run_cli(capsys, argv):
@@ -284,14 +284,42 @@ def test_value_commands_are_deterministic(capsys, argv):
     assert out_a == out_b
 
 
-def test_module_entry_point():
+def child_env():
     # run the checkout under test, whether or not PYTHONPATH names it
     src = str(Path(chowchi.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "chowchi",
          "chow", "--p", "1", "--n", "2", "--d", "2"],
-        capture_output=True, text=True, check=False,
-        env={**os.environ, "PYTHONPATH": path})
+        capture_output=True, text=True, check=False, env=child_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"][0]["value"] == "6"
+
+
+def test_cli_import_leaves_out_dataclasses():
+    # every CLI process pays for what importing the CLI imports
+    code = ("import sys; before = set(sys.modules); import chowchi.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=child_env())
+    assert proc.stdout == "[]\n"
+
+
+def test_closed_pipe_is_not_a_mismatch():
+    # about 140 kB of rows: more than a pipe buffers, so writing them fails
+    # once the reader has gone
+    with subprocess.Popen(
+            [sys.executable, "-m", "chowchi", "table", "--p", "2", "--n", "5",
+             "--max-d", "3000", "--format", "csv"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=child_env()) as proc:
+        assert proc.stdout.readline() == "d,chi\n"
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        err = proc.stderr.read()
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+    assert code == EXIT_BROKEN_PIPE == 141

@@ -20,14 +20,14 @@ from oracles import expand_inv_one_minus_t
 
 
 def test_quaternionic_params_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^quaternionic dimension must be >= 1, got n=0$"):
         QuaternionicParams(0, 0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^require 0 <= p <= 2n-1, got p=2 with n=1$"):
         QuaternionicParams(2, 1, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^require 0 <= p <= 2n-1, got p=-1 with n=2$"):
         QuaternionicParams(-1, 2, 0)
-    with pytest.raises(ValueError):
-        QuaternionicParams(1, 2, -1)
+    with pytest.raises(ValueError, match="^degree must be nonnegative, got d=-1$"):
+        QuaternionicParams(p=1, n=2, d=-1)
 
 
 def test_g_invariant_examples():

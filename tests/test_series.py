@@ -1,11 +1,14 @@
 """Truncated integer power series: construction, products, ring laws."""
 
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
 
 from chowchi.binomials import binomial_signed
+from chowchi.chow import ChowParams, EulerValue
+from chowchi.invariants import QuaternionicParams
 from chowchi.series import (
     TruncatedSeries,
     series_coefficient,
@@ -21,7 +24,7 @@ def test_order_and_coefficients():
 
 
 def test_empty_coefficients_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^a series carries at least its constant coefficient$"):
         TruncatedSeries([])
 
 
@@ -30,10 +33,43 @@ def test_equality_requires_equal_order():
     assert TruncatedSeries([1, 2]) != TruncatedSeries([1, 2, 0])
 
 
+# Each frozen value type: a field, the value built by position and by
+# keyword, and its repr.
+VALUES = [
+    ("coeffs", TruncatedSeries([1, 2]), TruncatedSeries(coeffs=(1, 2)),
+     "TruncatedSeries(coeffs=(1, 2))"),
+    ("d", ChowParams(1, 3, 2), ChowParams(p=1, n=3, d=2),
+     "ChowParams(p=1, n=3, d=2)"),
+    ("chi", EulerValue(21, "closed"), EulerValue(chi=21, method="closed"),
+     "EulerValue(chi=21, method='closed')"),
+    ("p", QuaternionicParams(1, 2, 3), QuaternionicParams(p=1, n=2, d=3),
+     "QuaternionicParams(p=1, n=2, d=3)"),
+]
+
+
 def test_immutable():
-    s = TruncatedSeries([1, 2])
-    with pytest.raises(AttributeError):
-        s.coeffs = (9,)
+    for field, value, keyword, _ in VALUES:
+        with pytest.raises(AttributeError):
+            setattr(value, field, 9)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        assert value == keyword
+
+
+def test_value_semantics():
+    for _, positional, keyword, text in VALUES:
+        assert repr(positional) == repr(keyword) == text
+        assert positional == keyword
+        assert not positional != keyword
+        assert hash(positional) == hash(keyword)
+        assert pickle.loads(pickle.dumps(positional)) == positional
+
+
+def test_equality_only_within_one_type():
+    assert ChowParams(1, 2, 3) != QuaternionicParams(1, 2, 3)
+    assert EulerValue(1, "closed") != (1, "closed")
+    assert TruncatedSeries([1, 2]) != (1, 2)
+    assert EulerValue(1, "closed") != EulerValue(1, "recursive")
 
 
 def test_geom_pow_examples():

@@ -88,6 +88,19 @@ def test_report_check_records_failure():
     assert failure.expected_value == "3"
     assert failure.actual_value == "4"
     assert failure.inputs == {"p": "1"}
+    assert repr(failure) == (
+        "Failure(inputs={'p': '1'}, expected_path='left', expected_value='3', "
+        "actual_path='right', actual_value='4')")
+    with pytest.raises(AttributeError):
+        failure.actual_value = "3"
+    # each report owns its failure list
+    fresh = VerificationReport("adhoc")
+    assert fresh.failures == [] and fresh.failures is not report.failures
+    assert repr(fresh) == (
+        "VerificationReport(suite='adhoc', cases_run=0, failures=[], elapsed_ms=0)")
+    assert fresh == VerificationReport(suite="adhoc", cases_run=0)
+    with pytest.raises(TypeError):
+        hash(fresh)     # mutable, so unhashable
 
 
 def test_recursion_suite_catches_lying_closed_form(monkeypatch):
