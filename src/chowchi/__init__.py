@@ -31,7 +31,6 @@ from .chow import (
 from .invariants import (
     QuaternionicParams,
     g_invariant_euler,
-    grassmannian_euler,
     quaternionic_d1_oracle,
     quaternionic_euler_closed,
     quaternionic_p0_oracle,
@@ -64,7 +63,6 @@ __all__ = [
     "quaternionic_p0_oracle",
     "quaternionic_d1_oracle",
     "sp_euler",
-    "grassmannian_euler",
     "VerificationReport",
     "run_suite",
     "__version__",

@@ -8,7 +8,6 @@ a cell is computed again only when a query needs it larger.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable
 
 __all__ = ["GridTable"]
 

@@ -4,7 +4,9 @@ quaternionic checks, and the verification sweeps.
 Output is deterministic for a given command line.  Every number inside JSON
 output is a decimal string, never a float, so arbitrarily large counts pass
 through any JSON consumer unchanged.  Exit codes: 0 for success or a clean
-verification, 1 when any cross-check disagrees, 2 for usage errors, and 141
+verification, 1 when any cross-check disagrees, 2 for usage errors, 70
+(``EX_SOFTWARE``) with one ``chowchi: internal error: <type>: <message>``
+line on stderr for any other exception, such as a ``MemoryError``, and 141
 (the shell's code for death by SIGPIPE) when the reader closes stdout before
 the output is written, as ``chowchi verify | head -1`` may.
 """
@@ -34,9 +36,10 @@ from .invariants import (
 )
 from .verify import SUITE_NAMES, run_suite
 
-__all__ = ["main", "build_parser", "EXIT_BROKEN_PIPE"]
+__all__ = ["main", "build_parser", "EXIT_BROKEN_PIPE", "EXIT_INTERNAL_ERROR"]
 
 EXIT_BROKEN_PIPE = 141
+EXIT_INTERNAL_ERROR = 70    # EX_SOFTWARE of sysexits.h
 
 
 def _query(subcommand: str, **params) -> dict:
@@ -55,6 +58,30 @@ def _print_csv(rows: list[tuple[str, str]], header: str) -> None:
     print("\n".join(lines))
 
 
+def _print_routes(fmt: str, query: dict, results: list[tuple[str, str]],
+                  note: str | None = None) -> int:
+    """Print each route's (method, value), with a match flag when more than
+    one route ran and the optional note; exit 1 when the routes disagree."""
+    payload = {
+        "query": query,
+        "results": [{"method": m, "value": v} for m, v in results],
+    }
+    rows = list(results)
+    match = True
+    if len(results) > 1:
+        match = len({v for _, v in results}) == 1
+        payload["match"] = match
+        rows.append(("match", "true" if match else "false"))
+    if note is not None:
+        payload["note"] = note
+        rows.append(("note", note))
+    if fmt == "json":
+        _print_json(payload)
+    else:
+        _print_csv(rows, "method,value")
+    return 0 if match else 1
+
+
 def _cmd_chow(args) -> int:
     params = ChowParams(args.p, args.n, args.d)
     methods = ["closed", "recursive", "series"] if args.method == "all" else [args.method]
@@ -63,25 +90,9 @@ def _cmd_chow(args) -> int:
         "recursive": chow_euler_recursive,
         "series": chow_euler_series,
     }
-    results = [
-        {"method": m, "value": str(compute[m](params).chi)} for m in methods
-    ]
-    payload = {
-        "query": _query("chow", p=args.p, n=args.n, d=args.d, method=args.method),
-        "results": results,
-    }
-    match = None
-    if args.method == "all":
-        match = len({r["value"] for r in results}) == 1
-        payload["match"] = match
-    if args.format == "json":
-        _print_json(payload)
-    else:
-        rows = [(r["method"], r["value"]) for r in results]
-        if match is not None:
-            rows.append(("match", "true" if match else "false"))
-        _print_csv(rows, "method,value")
-    return 0 if match in (None, True) else 1
+    results = [(m, str(compute[m](params).chi)) for m in methods]
+    query = _query("chow", p=args.p, n=args.n, d=args.d, method=args.method)
+    return _print_routes(args.format, query, results)
 
 
 def _cmd_series(args) -> int:
@@ -100,42 +111,17 @@ def _cmd_series(args) -> int:
 
 def _cmd_quaternionic(args) -> int:
     params = QuaternionicParams(args.p, args.qn, args.d)
-    results = [{"method": "closed", "value": str(quaternionic_euler_closed(params))}]
+    results = [("closed", str(quaternionic_euler_closed(params)))]
     note = None
     if args.oracle == "auto":
         if args.p == 0:
-            results.append({
-                "method": "oracle-p0",
-                "value": str(quaternionic_p0_oracle(args.qn, args.d)),
-            })
+            results.append(("oracle-p0", str(quaternionic_p0_oracle(args.qn, args.d))))
         if args.d == 1:
-            results.append({
-                "method": "oracle-d1",
-                "value": str(quaternionic_d1_oracle(args.p, args.qn)),
-            })
+            results.append(("oracle-d1", str(quaternionic_d1_oracle(args.p, args.qn))))
         if len(results) == 1:
             note = "no decomposition oracle applies; oracles cover p=0 and d=1"
-    payload = {
-        "query": _query("quaternionic", p=args.p, qn=args.qn,
-                        d=args.d, oracle=args.oracle),
-        "results": results,
-    }
-    match = None
-    if len(results) > 1:
-        match = len({r["value"] for r in results}) == 1
-        payload["match"] = match
-    if note is not None:
-        payload["note"] = note
-    if args.format == "json":
-        _print_json(payload)
-    else:
-        rows = [(r["method"], r["value"]) for r in results]
-        if match is not None:
-            rows.append(("match", "true" if match else "false"))
-        if note is not None:
-            rows.append(("note", note))
-        _print_csv(rows, "method,value")
-    return 0 if match in (None, True) else 1
+    query = _query("quaternionic", p=args.p, qn=args.qn, d=args.d, oracle=args.oracle)
+    return _print_routes(args.format, query, results, note)
 
 
 def _cmd_table(args) -> int:
@@ -268,3 +254,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
+    except Exception as exc:
+        # a defect or an exhausted resource, never a mismatch or usage error
+        print(f"chowchi: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR

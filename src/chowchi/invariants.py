@@ -22,7 +22,6 @@ __all__ = [
     "quaternionic_p0_oracle",
     "quaternionic_d1_oracle",
     "sp_euler",
-    "grassmannian_euler",
 ]
 
 
@@ -149,17 +148,3 @@ def sp_euler(chi: int, d: int) -> int:
         raise ValueError(f"d must be nonnegative, got {d}")
     return binomial_signed(chi, d)
 
-
-def grassmannian_euler(k: int, n: int) -> int:
-    """chi of the Grassmannian of k-dimensional subspaces of C^n: C(n, k).
-
-    One Schubert cell per k-element subset of n.
-
-    >>> grassmannian_euler(0, 5)
-    1
-    >>> grassmannian_euler(1, 3)    # chi of P^2
-    3
-    """
-    if not 0 <= k <= n:
-        raise ValueError(f"require 0 <= k <= n, got k={k}, n={n}")
-    return binomial(n, k)

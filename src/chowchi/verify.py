@@ -1,15 +1,16 @@
 """Parameter-sweep consistency suites with machine-readable reports.
 
 Each suite recomputes a family of exact identities by two routes and records
-every disagreement; an empty failure list is the pass condition.  The CLI
-surfaces these as ``chowchi verify``, and the sweep sizes are chosen so the
-full run finishes in seconds.
+every disagreement; an empty failure list is the pass condition.
+``run_suite`` is the one entry, and no suite has a public function of its
+own: it runs a suite by name, or every suite in sequence for ``"all"``, and
+the CLI surfaces it as ``chowchi verify``.  The sweep sizes are chosen so
+the full run finishes in seconds.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any
 
 from ._record import Record, set_field
 from .binomials import binomial, binomial_signed
@@ -37,11 +38,6 @@ __all__ = [
     "Failure",
     "VerificationReport",
     "SUITE_NAMES",
-    "recursion_suite",
-    "base_cases_suite",
-    "series_suite",
-    "quaternionic_suite",
-    "all_suites",
     "run_suite",
 ]
 
@@ -71,7 +67,7 @@ class Failure(Record):
 class VerificationReport(Record):
     """Outcome of a consistency sweep: case count, failures, wall time.
 
-    Unlike the other records it is mutable and unhashable: suites fill it in.
+    Unlike the other records it is mutable and unhashable; ``run_suite`` fills it in.
     """
 
     __slots__ = ("suite", "cases_run", "failures", "elapsed_ms")
@@ -132,14 +128,11 @@ class VerificationReport(Record):
         }
 
 
-def _finish(report: VerificationReport, t0: float) -> VerificationReport:
-    report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
-    return report
+# geometric powers (1-t)^{-m}, m <= _MAX_POW, in the series suite
+_MAX_POW = 16
 
 
-def recursion_suite(
-    max_p: int = 4, max_n: int = 6, max_d: int = 10, order: int = 12
-) -> VerificationReport:
+def _recursion(max_p: int, max_n: int, max_d: int, order: int):
     """Path agreement for chi(C_{p,d}(P^n)), plus the related identities.
 
     Checks, over p <= min(max_p, n), n <= max_n, d <= max_d: recursion and
@@ -147,8 +140,6 @@ def recursion_suite(
     every value, the degree-one Pascal reduction, and the divisor-space
     identity.
     """
-    report = VerificationReport("recursion")
-    t0 = time.perf_counter()
     order = max(order, max_d)
     for n in range(max_n + 1):
         for p in range(min(max_p, n) + 1):
@@ -159,72 +150,50 @@ def recursion_suite(
             for d in range(max_d + 1):
                 params = ChowParams(p, n, d)
                 closed = chow_euler_closed(params).chi
-                report.check(
-                    {"check": "recursive-vs-closed", "p": p, "n": n, "d": d},
-                    "closed", closed,
-                    "recursive", chow_euler_recursive(params).chi,
-                )
-                report.check(
-                    {"check": "series-vs-closed", "p": p, "n": n, "d": d},
-                    "closed", closed,
-                    "series", series_coefficient(q, d),
-                )
+                yield ({"check": "recursive-vs-closed", "p": p, "n": n, "d": d},
+                       "closed", closed,
+                       "recursive", chow_euler_recursive(params).chi)
+                yield ({"check": "series-vs-closed", "p": p, "n": n, "d": d},
+                       "closed", closed,
+                       "series", series_coefficient(q, d))
                 must_be_one = p == n or d == 0
-                report.check(
-                    {"check": "positivity", "p": p, "n": n, "d": d},
-                    "invariant", True,
-                    "closed", closed >= 1 and (closed == 1) == must_be_one,
-                )
+                yield ({"check": "positivity", "p": p, "n": n, "d": d},
+                       "invariant", True,
+                       "closed", closed >= 1 and (closed == 1) == must_be_one)
     for n in range(1, max_n + 1):
         for p in range(n):
-            report.check(
-                {"check": "pascal-at-degree-one", "p": p, "n": n},
-                "pascal-sum", binomial(n + 1, p + 1) + binomial(n + 1, p + 2),
-                "recursive", chow_euler_recursive(ChowParams(p + 1, n + 1, 1)).chi,
-            )
+            yield ({"check": "pascal-at-degree-one", "p": p, "n": n},
+                   "pascal-sum", binomial(n + 1, p + 1) + binomial(n + 1, p + 2),
+                   "recursive", chow_euler_recursive(ChowParams(p + 1, n + 1, 1)).chi)
     for p in range(max_n):
         for d in range(max_d + 1):
-            report.check(
-                {"check": "divisor-space", "p": p, "d": d},
-                "monomial-count", divisor_check(p, d),
-                "closed", chow_euler_closed(ChowParams(p, p + 1, d)).chi,
-            )
-    return _finish(report, t0)
+            yield ({"check": "divisor-space", "p": p, "d": d},
+                   "monomial-count", divisor_check(p, d),
+                   "closed", chow_euler_closed(ChowParams(p, p + 1, d)).chi)
 
 
-def base_cases_suite(max_n: int = 6, max_d: int = 10) -> VerificationReport:
+def _base_cases(max_p: int, max_n: int, max_d: int, order: int):
     """The 0-cycle base case: inner point recursion against C(n+d, d)."""
-    report = VerificationReport("base-cases")
-    t0 = time.perf_counter()
     for n in range(max_n + 1):
         for d in range(max_d + 1):
-            report.check(
-                {"check": "points-recursion", "n": n, "d": d},
-                "binomial", binomial(n + d, d),
-                "points-recursive", points_euler_recursive(n, d),
-            )
-    return _finish(report, t0)
+            yield ({"check": "points-recursion", "n": n, "d": d},
+                   "binomial", binomial(n + d, d),
+                   "points-recursive", points_euler_recursive(n, d))
 
 
-def series_suite(
-    max_n: int = 6, order: int = 12, max_pow: int = 16
-) -> VerificationReport:
+def _series(max_p: int, max_n: int, max_d: int, order: int):
     """Series-level identities.
 
     Geometric-power additivity against the Cauchy product, the generating
     function's factorization recurrence in both construction methods, and
     the signed binomial against geometric-series coefficients.
     """
-    report = VerificationReport("series")
-    t0 = time.perf_counter()
-    geom = [series_geom_pow(m, order) for m in range(2 * max_pow + 1)]
-    for a in range(max_pow + 1):
-        for b in range(max_pow + 1):
-            report.check(
-                {"check": "geom-pow-additivity", "a": a, "b": b, "order": order},
-                "direct", geom[a + b].coeffs,
-                "product", series_mul(geom[a], geom[b]).coeffs,
-            )
+    geom = [series_geom_pow(m, order) for m in range(2 * _MAX_POW + 1)]
+    for a in range(_MAX_POW + 1):
+        for b in range(_MAX_POW + 1):
+            yield ({"check": "geom-pow-additivity", "a": a, "b": b, "order": order},
+                   "direct", geom[a + b].coeffs,
+                   "product", series_mul(geom[a], geom[b]).coeffs)
     for method in (SERIES_CLOSED, SERIES_FUNCTIONAL):
         # Q_{p,n} for every p, one ambient dimension at a time: each series
         # is built once and only two dimensions are held
@@ -232,24 +201,19 @@ def series_suite(
         for n in range(1, max_n + 1):
             up = [chow_series(p, n + 1, order, method) for p in range(n + 2)]
             for p in range(n):
-                report.check(
-                    {"check": "series-factorization", "p": p, "n": n,
-                     "order": order, "method": method},
-                    "direct", up[p + 1].coeffs,
-                    "product", series_mul(row[p + 1], row[p]).coeffs,
-                )
+                yield ({"check": "series-factorization", "p": p, "n": n,
+                        "order": order, "method": method},
+                       "direct", up[p + 1].coeffs,
+                       "product", series_mul(row[p + 1], row[p]).coeffs)
             row = up
-    for m in range(max_pow + 1):
+    for m in range(_MAX_POW + 1):
         for d in range(order + 1):
-            report.check(
-                {"check": "signed-binomial-vs-series", "m": m, "d": d},
-                "series", series_coefficient(geom[m], d),
-                "signed-binomial", binomial_signed(m, d),
-            )
-    return _finish(report, t0)
+            yield ({"check": "signed-binomial-vs-series", "m": m, "d": d},
+                   "series", series_coefficient(geom[m], d),
+                   "signed-binomial", binomial_signed(m, d))
 
 
-def quaternionic_suite(max_n: int = 6, max_d: int = 10) -> VerificationReport:
+def _quaternionic(max_p: int, max_n: int, max_d: int, order: int):
     """Invariant-cycle identities.
 
     The two quaternionic decomposition oracles against the closed form, the
@@ -257,79 +221,46 @@ def quaternionic_suite(max_n: int = 6, max_d: int = 10) -> VerificationReport:
     of the count under diagonalizable group actions, and the vanishing of
     symmetric products of a space with Euler characteristic zero.
     """
-    report = VerificationReport("quaternionic")
-    t0 = time.perf_counter()
     for n in range(1, max_n + 1):
         for d in range(max_d + 1):
-            report.check(
-                {"check": "p0-oracle", "n": n, "d": d},
-                "closed", quaternionic_euler_closed(QuaternionicParams(0, n, d)),
-                "oracle-p0", quaternionic_p0_oracle(n, d),
-            )
+            yield ({"check": "p0-oracle", "n": n, "d": d},
+                   "closed", quaternionic_euler_closed(QuaternionicParams(0, n, d)),
+                   "oracle-p0", quaternionic_p0_oracle(n, d))
         for p in range(2 * n):
-            report.check(
-                {"check": "d1-oracle", "p": p, "n": n},
-                "closed", quaternionic_euler_closed(QuaternionicParams(p, n, 1)),
-                "oracle-d1", quaternionic_d1_oracle(p, n),
-            )
-            report.check(
-                {"check": "d1-vandermonde", "p": p, "n": n},
-                "binomial", binomial(2 * n, p + 1),
-                "oracle-d1", quaternionic_d1_oracle(p, n),
-            )
+            yield ({"check": "d1-oracle", "p": p, "n": n},
+                   "closed", quaternionic_euler_closed(QuaternionicParams(p, n, 1)),
+                   "oracle-d1", quaternionic_d1_oracle(p, n))
+            yield ({"check": "d1-vandermonde", "p": p, "n": n},
+                   "binomial", binomial(2 * n, p + 1),
+                   "oracle-d1", quaternionic_d1_oracle(p, n))
             for d in range(max_d + 1):
-                report.check(
-                    {"check": "ambient-match", "p": p, "n": n, "d": d},
-                    "chow-closed", chow_euler_closed(ChowParams(p, 2 * n - 1, d)).chi,
-                    "quaternionic-closed",
-                    quaternionic_euler_closed(QuaternionicParams(p, n, d)),
-                )
+                yield ({"check": "ambient-match", "p": p, "n": n, "d": d},
+                       "chow-closed",
+                       chow_euler_closed(ChowParams(p, 2 * n - 1, d)).chi,
+                       "quaternionic-closed",
+                       quaternionic_euler_closed(QuaternionicParams(p, n, d)))
     for n in range(max_n + 1):
         for p in range(n + 1):
             for d in range(max_d + 1):
                 params = ChowParams(p, n, d)
-                report.check(
-                    {"check": "group-invariant-match", "p": p, "n": n, "d": d},
-                    "chow-closed", chow_euler_closed(params).chi,
-                    "group-invariant", g_invariant_euler(params),
-                )
+                yield ({"check": "group-invariant-match", "p": p, "n": n, "d": d},
+                       "chow-closed", chow_euler_closed(params).chi,
+                       "group-invariant", g_invariant_euler(params))
     for m in range(max(max_d, 20) + 1):
-        report.check(
-            {"check": "sp-of-chi-zero", "m": m},
-            "invariant", 1 if m == 0 else 0,
-            "sp-euler", sp_euler(0, m),
-        )
-    return _finish(report, t0)
+        yield ({"check": "sp-of-chi-zero", "m": m},
+               "invariant", 1 if m == 0 else 0,
+               "sp-euler", sp_euler(0, m))
 
 
-def all_suites(
-    max_p: int = 4, max_n: int = 6, max_d: int = 10, order: int = 12
-) -> VerificationReport:
-    """Every suite in sequence, aggregated into a single report.
-
-    Failures keep their originating suite name inside ``inputs``.
-    """
-    t0 = time.perf_counter()
-    combined = VerificationReport("all")
-    parts = (
-        recursion_suite(max_p=max_p, max_n=max_n, max_d=max_d, order=order),
-        base_cases_suite(max_n=max_n, max_d=max_d),
-        series_suite(max_n=max_n, order=order),
-        quaternionic_suite(max_n=max_n, max_d=max_d),
-    )
-    for part in parts:
-        combined.cases_run += part.cases_run
-        for f in part.failures:
-            combined.failures.append(
-                Failure(
-                    inputs={"suite": part.suite, **f.inputs},
-                    expected_path=f.expected_path,
-                    expected_value=f.expected_value,
-                    actual_path=f.actual_path,
-                    actual_value=f.actual_value,
-                )
-            )
-    return _finish(combined, t0)
+# Each suite yields its cases and looks its routes up in this module's globals
+# as it runs, so a caller that rebinds a route here sees every call.  "all"
+# runs the suites in this order.
+_SUITES = {
+    "recursion": _recursion,
+    "base-cases": _base_cases,
+    "series": _series,
+    "quaternionic": _quaternionic,
+}
 
 
 def run_suite(
@@ -339,19 +270,28 @@ def run_suite(
     max_d: int = 10,
     order: int = 12,
 ) -> VerificationReport:
-    """Dispatch a suite by CLI name; bounds must be nonnegative."""
-    for label, bound in (("max_p", max_p), ("max_n", max_n),
-                         ("max_d", max_d), ("order", order)):
+    """Run the suite ``name``, one of ``SUITE_NAMES``; bounds must be nonnegative.
+
+    Every suite takes the same bounds and reads the ones its grids use.
+    ``"all"`` runs every suite into one report, and each of its failures
+    carries the originating suite name first in ``inputs``.
+    """
+    bounds = (max_p, max_n, max_d, order)
+    for label, bound in zip(("max_p", "max_n", "max_d", "order"), bounds):
         if bound < 0:
             raise ValueError(f"{label} must be nonnegative, got {bound}")
-    if name == "recursion":
-        return recursion_suite(max_p=max_p, max_n=max_n, max_d=max_d, order=order)
-    if name == "series":
-        return series_suite(max_n=max_n, order=order)
-    if name == "base-cases":
-        return base_cases_suite(max_n=max_n, max_d=max_d)
-    if name == "quaternionic":
-        return quaternionic_suite(max_n=max_n, max_d=max_d)
-    if name == "all":
-        return all_suites(max_p=max_p, max_n=max_n, max_d=max_d, order=order)
-    raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    if name != "all" and name not in _SUITES:
+        raise ValueError(
+            f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    report = VerificationReport(name)
+    t0 = time.perf_counter()
+    for suite, cases in _SUITES.items():
+        if name in (suite, "all"):
+            start = len(report.failures)
+            for inputs, expected_path, expected, actual_path, actual in cases(*bounds):
+                report.check(inputs, expected_path, expected, actual_path, actual)
+            if name == "all":   # the suite goes first in each failure's inputs
+                for f in report.failures[start:]:
+                    set_field(f, "inputs", {"suite": suite, **f.inputs})
+    report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
+    return report

@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 import chowchi
+import chowchi.cli as cli_mod
 import chowchi.verify as verify_mod
-from chowchi.cli import EXIT_BROKEN_PIPE, build_parser, main
+from chowchi.cli import EXIT_BROKEN_PIPE, EXIT_INTERNAL_ERROR, build_parser, main
 
 
 def run_cli(capsys, argv):
@@ -255,6 +256,18 @@ def test_negative_degree_exits_two(capsys):
     assert "max_d" in err
 
 
+@pytest.mark.parametrize("exc", [MemoryError(), RuntimeError("table torn")])
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch, exc):
+    def broken(params):
+        raise exc
+
+    monkeypatch.setattr(cli_mod, "chow_euler_closed", broken)
+    code, out, err = run_cli(capsys, ["chow", "--p", "1", "--n", "2", "--d", "2"])
+    assert code == EXIT_INTERNAL_ERROR == 70
+    assert out == ""
+    assert err == f"chowchi: internal error: {type(exc).__name__}: {exc}\n"
+
+
 def test_unknown_choice_exits_two():
     with pytest.raises(SystemExit) as excinfo:
         main(["chow", "--p", "1", "--n", "2", "--d", "2", "--method", "magic"])
@@ -301,10 +314,12 @@ def test_module_entry_point():
 
 
 def test_cli_import_leaves_out_dataclasses():
-    # every CLI process pays for what importing the CLI imports
+    # every CLI process pays for what importing the CLI imports; -S skips
+    # site, which may load typing on its own
     code = ("import sys; before = set(sys.modules); import chowchi.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+            "print(sorted({'dataclasses', 'inspect', 'typing'}"
+            " & (set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                           text=True, check=True, env=child_env())
     assert proc.stdout == "[]\n"
 

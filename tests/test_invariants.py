@@ -9,7 +9,6 @@ from chowchi.chow import ChowParams, chow_euler_closed
 from chowchi.invariants import (
     QuaternionicParams,
     g_invariant_euler,
-    grassmannian_euler,
     quaternionic_d1_oracle,
     quaternionic_euler_closed,
     quaternionic_p0_oracle,
@@ -144,16 +143,3 @@ def test_sp_euler_at_large_degree():
 def test_sp_euler_rejects_negative_degree():
     with pytest.raises(ValueError):
         sp_euler(3, -1)
-
-
-def test_grassmannian_examples():
-    assert grassmannian_euler(0, 4) == 1
-    assert grassmannian_euler(1, 3) == 3
-    assert grassmannian_euler(2, 4) == 6
-
-
-def test_grassmannian_rejects_bad_range():
-    with pytest.raises(ValueError):
-        grassmannian_euler(3, 2)
-    with pytest.raises(ValueError):
-        grassmannian_euler(-1, 2)

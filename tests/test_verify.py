@@ -4,16 +4,7 @@ import pytest
 
 import chowchi.verify as verify_mod
 from chowchi.chow import ChowParams, chow_euler_closed
-from chowchi.verify import (
-    SUITE_NAMES,
-    VerificationReport,
-    all_suites,
-    base_cases_suite,
-    quaternionic_suite,
-    recursion_suite,
-    run_suite,
-    series_suite,
-)
+from chowchi.verify import SUITE_NAMES, VerificationReport, run_suite
 
 
 def test_suite_names_cover_dispatch():
@@ -24,36 +15,32 @@ def test_suite_names_cover_dispatch():
 
 
 def test_recursion_suite_small():
-    report = recursion_suite(max_p=2, max_n=3, max_d=4, order=6)
+    report = run_suite("recursion", max_p=2, max_n=3, max_d=4, order=6)
     assert report.ok
     assert report.suite == "recursion"
     assert report.failures == []
 
 
 def test_base_cases_suite_small():
-    report = base_cases_suite(max_n=3, max_d=4)
+    report = run_suite("base-cases", max_p=2, max_n=3, max_d=4, order=6)
     assert report.ok
     assert report.cases_run == 4 * 5
 
 
 def test_series_suite_small():
-    report = series_suite(max_n=3, order=6, max_pow=8)
+    report = run_suite("series", max_p=2, max_n=3, max_d=4, order=6)
     assert report.ok
 
 
 def test_quaternionic_suite_small():
-    report = quaternionic_suite(max_n=3, max_d=4)
+    report = run_suite("quaternionic", max_p=2, max_n=3, max_d=4, order=6)
     assert report.ok
 
 
 def test_all_suites_aggregates():
-    combined = all_suites(max_p=2, max_n=3, max_d=4, order=6)
-    parts = [
-        recursion_suite(max_p=2, max_n=3, max_d=4, order=6),
-        base_cases_suite(max_n=3, max_d=4),
-        series_suite(max_n=3, order=6),
-        quaternionic_suite(max_n=3, max_d=4),
-    ]
+    combined = run_suite("all", max_p=2, max_n=3, max_d=4, order=6)
+    parts = [run_suite(name, max_p=2, max_n=3, max_d=4, order=6)
+             for name in ("recursion", "base-cases", "series", "quaternionic")]
     assert combined.cases_run == sum(part.cases_run for part in parts)
     assert combined.ok
 
@@ -69,7 +56,7 @@ def test_run_suite_rejects_negative_bounds():
 
 
 def test_report_json_shape():
-    report = recursion_suite(max_p=1, max_n=2, max_d=3, order=4)
+    report = run_suite("recursion", max_p=1, max_n=2, max_d=3, order=4)
     payload = report.to_json_dict()
     assert payload["suite"] == "recursion"
     assert payload["cases_run"] == str(report.cases_run)
@@ -113,7 +100,7 @@ def test_recursion_suite_catches_lying_closed_form(monkeypatch):
         return value
 
     monkeypatch.setattr(verify_mod, "chow_euler_closed", lying)
-    report = verify_mod.recursion_suite(max_p=2, max_n=3, max_d=4, order=6)
+    report = run_suite("recursion", max_p=2, max_n=3, max_d=4, order=6)
     assert not report.ok
     assert len(report.failures) > 0
     failure = report.failures[0]
@@ -129,6 +116,45 @@ def test_recursion_suite_catches_lying_closed_form(monkeypatch):
 
 def test_lying_path_does_not_leak(monkeypatch):
     # The monkeypatch above must not poison later honest runs.
-    report = recursion_suite(max_p=2, max_n=3, max_d=4, order=6)
+    report = run_suite("recursion", max_p=2, max_n=3, max_d=4, order=6)
     assert report.ok
     assert chow_euler_closed(ChowParams(1, 2, 2)).chi == 6
+
+
+def test_all_labels_failures_with_their_suite(monkeypatch):
+    honest = chow_euler_closed
+
+    def lying(params):
+        value = honest(params)
+        if (params.p, params.n, params.d) == (1, 2, 2):
+            return type(value)(chi=value.chi + 1, method=value.method)
+        return value
+
+    monkeypatch.setattr(verify_mod, "chow_euler_closed", lying)
+    failures = run_suite("all", 2, 3, 4, 6).to_json_dict()["failures"]
+
+    def entry(suite, check, inputs, expected, actual):
+        return {"inputs": {"suite": suite, "check": check, **inputs},
+                "expected": dict(zip(("path", "value"), expected)),
+                "actual": dict(zip(("path", "value"), actual))}
+
+    pnd = {"p": "1", "n": "2", "d": "2"}
+    assert failures == [
+        entry("recursion", "recursive-vs-closed", pnd, ("closed", "7"), ("recursive", "6")),
+        entry("recursion", "series-vs-closed", pnd, ("closed", "7"), ("series", "6")),
+        entry("recursion", "divisor-space", {"p": "1", "d": "2"},
+              ("monomial-count", "6"), ("closed", "7")),
+        entry("quaternionic", "group-invariant-match", pnd,
+              ("chow-closed", "7"), ("group-invariant", "6")),
+    ]
+    for failure in failures:
+        assert list(failure["inputs"])[:2] == ["suite", "check"]
+
+
+@pytest.mark.parametrize("bounds, counts", [
+    ((4, 6, 10, 12), (912, 77, 552, 941, 2482)),
+    ((8, 16, 30, 30), (11513, 527, 1088, 14246, 27374)),
+])
+def test_cases_run_per_suite(bounds, counts):
+    names = ("recursion", "base-cases", "series", "quaternionic", "all")
+    assert [run_suite(name, *bounds).cases_run for name in names] == list(counts)
