@@ -2,7 +2,7 @@
 
 Cell (a, b) of a table draws on cells (a, b - 1) and (a - 1, b).  A cell is
 grown only after both are at least as large, so no evaluation recurses and
-a cell is computed again only when a query needs it larger.
+a cell is computed again only when a query needs it larger or it was released.
 """
 
 from __future__ import annotations
@@ -20,12 +20,19 @@ class GridTable:
     ``need`` entries; it is called only once the cells it draws on hold at
     least ``need``.  Growth runs under a lock, so concurrent readers never
     see a half-grown box.
+
+    With ``release_used`` (for a grower that rebuilds a cell whole), a cell is
+    dropped once both cells that draw on it hold at least as many entries: a
+    fresh box keeps its top row and right column, and a later query inside
+    it rebuilds the cells it needs from them.
     """
 
     def __init__(self, size: Callable[[Any], int],
-                 grow: Callable[[dict, int, int, int], None]):
+                 grow: Callable[[dict, int, int, int], None], *,
+                 release_used: bool = False):
         self._size = size
         self._grow = grow
+        self._release_used = release_used
         self._cells: dict[tuple[int, int], Any] = {}
         self._lock = threading.Lock()
 
@@ -42,25 +49,31 @@ class GridTable:
                 cells = self._cells
                 for a_, b_ in self._stale(cells, a, b, need):
                     self._grow(cells, a_, b_, need)
+                    if self._release_used:
+                        for x, y in (a_, b_ - 1), (a_ - 1, b_):
+                            if self._entries(cells, x, y) <= min(
+                                    self._entries(cells, x, y + 1),
+                                    self._entries(cells, x + 1, y)):
+                                cells.pop((x, y), None)
                 cell = cells[a, b]
         return cell
 
-    def _stale(self, cells: dict, p: int, b_max: int, need: int):
-        """Cells (a, b), a <= p, b <= b_max, holding fewer than ``need``
-        entries, in dependency order.
+    def _entries(self, cells: dict, a: int, b: int) -> int:
+        cell = cells.get((a, b))
+        return 0 if cell is None else self._size(cell)
 
-        Every growth brings a run of cells ending at b_max to one size, so
-        sizes never increase along b: for each a the stale cells form a
-        suffix, found by scanning down from b_max.  A query whose box is
-        grown but for its own cell therefore costs O(p) here.
+    def _stale(self, cells: dict, a: int, b: int, need: int) -> list:
+        """Cells to grow, in dependency order, for (a, b) to hold ``need``.
+
+        The walk goes back from (a, b) through the cells each draws on and
+        stops at cells holding ``need``, so a query missing only its own cell
+        costs O(1).  Sorting puts every cell after the cells it draws on.
         """
-        def size(a, b):
-            cell = cells.get((a, b))
-            return 0 if cell is None else self._size(cell)
-
-        for a in range(p + 1):
-            b0 = b_max + 1
-            while b0 > 0 and size(a, b0 - 1) < need:
-                b0 -= 1
-            for b in range(b0, b_max + 1):
-                yield a, b
+        stale, todo = set(), [(a, b)]
+        while todo:
+            a, b = todo.pop()
+            if (min(a, b) >= 0 and (a, b) not in stale
+                    and self._entries(cells, a, b) < need):
+                stale.add((a, b))
+                todo += (a, b - 1), (a - 1, b)
+        return sorted(stale)

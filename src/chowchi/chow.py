@@ -22,8 +22,10 @@ of the three over a parameter grid is the package's central self-check (see
 The recursive, point and functional routes fill module-level tables
 bottom-up in dependency order, so no result depends on Python's recursion
 limit.  A (p, n, d) query costs O(p * (n - p) * d^2) big-integer products
-the first time and one lookup once its entry exists; ``cache_clear()`` on a
-table empties it.
+the first time.  The recursive and point tables keep every row, so a later
+query inside a grown box is one lookup; the functional table keeps only the
+top row and right column of a box, and rebuilds the inside from them when a
+later query needs it.  ``cache_clear()`` on a table empties it.
 """
 
 from __future__ import annotations
@@ -140,9 +142,11 @@ def _grow_suspension(rows: dict, a: int, b: int, length: int) -> None:
     elif a == 0:
         row.extend(binomial(b + e, e) for e in degrees)
     else:
-        left, down = rows[a, b - 1], rows[a - 1, b]
+        # sum_{i=1}^{e} left[i] * down[e - i], with down reversed once
+        left, down = rows[a, b - 1][1:], rows[a - 1, b]
+        rdown, top = down[::-1], len(down)
         for e in degrees:
-            row.append(down[e] + sum(map(mul, left[1:e + 1], reversed(down[:e]))))
+            row.append(down[e] + sum(map(mul, left, rdown[top - e:])))
 
 
 _SUSPENSION = _tables.GridTable(len, _grow_suspension)
@@ -205,7 +209,7 @@ def points_euler_recursive(n: int, d: int) -> int:
 def _truncate(s: TruncatedSeries, order: int) -> TruncatedSeries:
     # Truncation is a ring homomorphism, so a prefix of a higher-order
     # series is the series at the lower order.
-    return s if s.order == order else TruncatedSeries(s.coeffs[:order + 1])
+    return s if s.order == order else TruncatedSeries._trusted(s.coeffs[:order + 1])
 
 
 def _grow_functional(cells: dict, a: int, b: int, size: int) -> None:
@@ -221,7 +225,8 @@ def _grow_functional(cells: dict, a: int, b: int, size: int) -> None:
     cells[a, b] = s
 
 
-_FUNCTIONAL = _tables.GridTable(lambda s: len(s.coeffs), _grow_functional)
+_FUNCTIONAL = _tables.GridTable(lambda s: len(s.coeffs), _grow_functional,
+                                release_used=True)
 
 
 def chow_series(p: int, n: int, order: int, method: str = SERIES_CLOSED) -> TruncatedSeries:

@@ -40,6 +40,13 @@ class TruncatedSeries(Record):
             raise ValueError("a series carries at least its constant coefficient")
         set_field(self, "coeffs", coeffs)
 
+    @classmethod
+    def _trusted(cls, coeffs: tuple[int, ...]) -> TruncatedSeries:
+        # A nonempty int tuple the package has just built: no coercion.
+        s = object.__new__(cls)
+        set_field(s, "coeffs", coeffs)
+        return s
+
     @property
     def order(self) -> int:
         """Truncation degree N; the series has N + 1 coefficients."""
@@ -69,7 +76,7 @@ def series_geom_pow(m: int, order: int) -> TruncatedSeries:
     coeffs = [1]
     for d in range(1, order + 1):
         coeffs.append(coeffs[-1] * (m + d - 1) // d)
-    return TruncatedSeries(tuple(coeffs))
+    return TruncatedSeries._trusted(tuple(coeffs))
 
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -81,12 +88,10 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """
     if a.order != b.order:
         raise ValueError(f"series order mismatch: {a.order} != {b.order}")
-    ca, cb = a.coeffs, b.coeffs
-    out = [
-        sum(map(mul, ca[:d + 1], reversed(cb[:d + 1])))
-        for d in range(a.order + 1)
-    ]
-    return TruncatedSeries(tuple(out))
+    # rb[n - d:] is cb[d], ..., cb[0]; map stops at the shorter operand
+    n, ca, rb = a.order, a.coeffs, b.coeffs[::-1]
+    return TruncatedSeries._trusted(
+        tuple([sum(map(mul, ca, rb[n - d:])) for d in range(n + 1)]))
 
 
 def series_coefficient(s: TruncatedSeries, d: int) -> int:

@@ -202,6 +202,9 @@ def route_queries(draw):
 @given(st.lists(route_queries(), min_size=1, max_size=12), st.integers(0, 6))
 @example([("recursive", 0, 0, 0), ("functional", 4, 4, 0), ("points", 0, 0, 7),
           ("recursive", 5, 5, 9), ("functional", 0, 3, 5)], 3)
+@example([("functional", 4, 9, 10), ("functional", 2, 6, 10)], 0)    # inside
+@example([("functional", 4, 9, 6), ("functional", 4, 9, 15)], 0)     # higher
+@example([("functional", 4, 9, 15), ("functional", 2, 6, 4)], 0)     # lower
 def test_tables_answer_any_query_sequence(queries, k):
     # Boxes grow and shrink and orders rise and fall between queries; every
     # answer is the closed form, and a lower order is a prefix of a higher one.
@@ -216,6 +219,18 @@ def test_tables_answer_any_query_sequence(queries, k):
             assert s.coeffs == tuple(closed(p, n, e) for e in range(d + 1))
             assert chow_series(p, n, d + k, "functional").coeffs[:d + 1] == s.coeffs
             assert chow_series(p, n, d, "functional") == s
+
+
+def test_functional_table_keeps_only_its_frontier():
+    # A functional cell is read only to grow its two neighbours, so a fresh
+    # (p, n) box keeps its top row and right column; suspension rows are
+    # extended in place and every one is kept.
+    for p, n in [(0, 5), (5, 5), (2, 7), (4, 9)]:
+        clear_tables()
+        chow_series(p, n, 6, "functional")
+        assert len(chow._FUNCTIONAL._cells) == n + 1
+        chow_euler_recursive(ChowParams(p, n, 6))
+        assert len(chow._SUSPENSION._cells) == (p + 1) * (n - p + 1)
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -21,6 +21,8 @@ def test_order_and_coefficients():
     s = TruncatedSeries([1, 2, 3])
     assert s.order == 2
     assert s.coeffs == (1, 2, 3)
+    # the public constructor coerces; only the package's own tuples skip it
+    assert [type(c) for c in TruncatedSeries((True, 2.0)).coeffs] == [int, int]
 
 
 def test_empty_coefficients_rejected():
