@@ -1,18 +1,24 @@
 """Immutable value records whose fields are their ``__slots__``.
 
 A subclass lists its fields in ``__slots__`` and writes an ``__init__`` that
-validates its arguments and stores each field with ``set_field``.
+validates its arguments and stores each field through the setters that
+``field_setters`` returns.
 Equality (only with the same type), hashing, the ``Name(field=value, ...)``
 repr and pickling follow from the field values; assigning or deleting a
 field raises ``AttributeError``.
 """
 
-__all__ = ["Record", "set_field"]
+__all__ = ["Record", "field_setters"]
 
-# Stores a field past the record's assignment guard; a module-level name is
-# cheaper to call than ``object.__setattr__``, and verify builds records by
-# the hundred thousand.
-set_field = object.__setattr__
+
+def field_setters(cls) -> tuple:
+    """The ``__set__`` of each slot of ``cls``, in ``__slots__`` order.
+
+    Each stores its field past the record's assignment guard.  Calling a slot
+    descriptor directly skips the attribute lookup of ``object.__setattr__``,
+    and verify builds records by the hundred thousand.
+    """
+    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
 
 class Record:

@@ -33,7 +33,7 @@ from __future__ import annotations
 from operator import mul
 
 from . import _tables
-from ._record import Record, set_field
+from ._record import Record, field_setters
 from .binomials import binomial
 from .series import TruncatedSeries, series_coefficient, series_geom_pow, series_mul
 
@@ -82,9 +82,12 @@ class ChowParams(Record):
             raise ValueError(f"require 0 <= p <= n, got p={p}, n={n}")
         if d < 0:
             raise ValueError(f"degree must be nonnegative, got d={d}")
-        set_field(self, "p", p)
-        set_field(self, "n", n)
-        set_field(self, "d", d)
+        _set_p(self, p)
+        _set_n(self, n)
+        _set_d(self, d)
+
+
+_set_p, _set_n, _set_d = field_setters(ChowParams)
 
 
 class EulerValue(Record):
@@ -95,8 +98,11 @@ class EulerValue(Record):
     method: str
 
     def __init__(self, chi: int, method: str):
-        set_field(self, "chi", chi)
-        set_field(self, "method", method)
+        _set_chi(self, chi)
+        _set_method(self, method)
+
+
+_set_chi, _set_method = field_setters(EulerValue)
 
 
 def v_pn(p: int, n: int) -> int:
@@ -149,7 +155,13 @@ def _grow_suspension(rows: dict, a: int, b: int, length: int) -> None:
             row.append(down[e] + sum(map(mul, left, rdown[top - e:])))
 
 
-_SUSPENSION = _tables.GridTable(len, _grow_suspension)
+def _reads_inner(a: int, b: int) -> tuple:
+    # The suspension and functional growers read both neighbours of an
+    # inner cell and nothing on the edges a = 0 or b = 0.
+    return ((a, b - 1), (a - 1, b)) if a and b else ()
+
+
+_SUSPENSION = _tables.GridTable(len, _grow_suspension, _reads_inner)
 
 
 def chow_euler_recursive(params: ChowParams) -> EulerValue:
@@ -181,7 +193,8 @@ def _grow_points(rows: dict, m: int, _: int, length: int) -> None:
         row.append(1 if m == 0 or e == 0 else row[e - 1] + rows[m - 1, 0][e])
 
 
-_POINTS = _tables.GridTable(len, _grow_points)
+_POINTS = _tables.GridTable(len, _grow_points,
+                           lambda m, _: ((m - 1, 0),) if m else ())
 
 
 def points_euler_recursive(n: int, d: int) -> int:
@@ -226,7 +239,7 @@ def _grow_functional(cells: dict, a: int, b: int, size: int) -> None:
 
 
 _FUNCTIONAL = _tables.GridTable(lambda s: len(s.coeffs), _grow_functional,
-                                release_used=True)
+                                _reads_inner, release_used=True)
 
 
 def chow_series(p: int, n: int, order: int, method: str = SERIES_CLOSED) -> TruncatedSeries:

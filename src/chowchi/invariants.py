@@ -11,7 +11,7 @@ Grassmannians for d = 1.
 
 from __future__ import annotations
 
-from ._record import Record, set_field
+from ._record import Record, field_setters
 from .binomials import binomial, binomial_signed
 from .chow import ChowParams, chow_euler_closed
 
@@ -44,9 +44,12 @@ class QuaternionicParams(Record):
             raise ValueError(f"require 0 <= p <= 2n-1, got p={p} with n={n}")
         if d < 0:
             raise ValueError(f"degree must be nonnegative, got d={d}")
-        set_field(self, "p", p)
-        set_field(self, "n", n)
-        set_field(self, "d", d)
+        _set_p(self, p)
+        _set_n(self, n)
+        _set_d(self, d)
+
+
+_set_p, _set_n, _set_d = field_setters(QuaternionicParams)
 
 
 def g_invariant_euler(params: ChowParams) -> int:

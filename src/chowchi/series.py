@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from operator import mul
 
-from ._record import Record, set_field
+from ._record import Record, field_setters
 
 __all__ = [
     "TruncatedSeries",
@@ -38,19 +38,22 @@ class TruncatedSeries(Record):
         coeffs = tuple(int(c) for c in coeffs)
         if not coeffs:
             raise ValueError("a series carries at least its constant coefficient")
-        set_field(self, "coeffs", coeffs)
+        _set_coeffs(self, coeffs)
 
     @classmethod
     def _trusted(cls, coeffs: tuple[int, ...]) -> TruncatedSeries:
         # A nonempty int tuple the package has just built: no coercion.
         s = object.__new__(cls)
-        set_field(s, "coeffs", coeffs)
+        _set_coeffs(s, coeffs)
         return s
 
     @property
     def order(self) -> int:
         """Truncation degree N; the series has N + 1 coefficients."""
         return len(self.coeffs) - 1
+
+
+_set_coeffs, = field_setters(TruncatedSeries)
 
 
 def series_geom_pow(m: int, order: int) -> TruncatedSeries:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 
-from ._record import Record, set_field
+from ._record import Record, field_setters
 from .binomials import binomial, binomial_signed
 from .chow import (
     ChowParams,
@@ -57,11 +57,15 @@ class Failure(Record):
 
     def __init__(self, inputs: dict[str, str], expected_path: str,
                  expected_value: str, actual_path: str, actual_value: str):
-        set_field(self, "inputs", inputs)
-        set_field(self, "expected_path", expected_path)
-        set_field(self, "expected_value", expected_value)
-        set_field(self, "actual_path", actual_path)
-        set_field(self, "actual_value", actual_value)
+        _set_inputs(self, inputs)
+        _set_expected_path(self, expected_path)
+        _set_expected_value(self, expected_value)
+        _set_actual_path(self, actual_path)
+        _set_actual_value(self, actual_value)
+
+
+(_set_inputs, _set_expected_path, _set_expected_value, _set_actual_path,
+ _set_actual_value) = field_setters(Failure)
 
 
 class VerificationReport(Record):
@@ -185,9 +189,11 @@ def _base_cases(max_p: int, max_n: int, max_d: int, order: int):
 def _series(max_p: int, max_n: int, max_d: int, order: int):
     """Series-level identities.
 
-    Geometric-power additivity against the Cauchy product, the generating
-    function's factorization recurrence in both construction methods, and
-    the signed binomial against geometric-series coefficients.
+    Geometric-power additivity against the Cauchy product; the generating
+    function's factorization Q_{p+1,n+1} = Q_{p+1,n} * Q_{p,n} on closed
+    series; each functional series, which its table builds by that product,
+    against the closed series of the same (p + 1, n + 1); and the signed
+    binomial against geometric-series coefficients.
     """
     geom = [series_geom_pow(m, order) for m in range(2 * _MAX_POW + 1)]
     for a in range(_MAX_POW + 1):
@@ -195,18 +201,24 @@ def _series(max_p: int, max_n: int, max_d: int, order: int):
             yield ({"check": "geom-pow-additivity", "a": a, "b": b, "order": order},
                    "direct", geom[a + b].coeffs,
                    "product", series_mul(geom[a], geom[b]).coeffs)
-    for method in (SERIES_CLOSED, SERIES_FUNCTIONAL):
-        # Q_{p,n} for every p, one ambient dimension at a time: each series
-        # is built once and only two dimensions are held
-        row = [chow_series(p, 1, order, method) for p in range(2)]
-        for n in range(1, max_n + 1):
-            up = [chow_series(p, n + 1, order, method) for p in range(n + 2)]
-            for p in range(n):
-                yield ({"check": "series-factorization", "p": p, "n": n,
-                        "order": order, "method": method},
-                       "direct", up[p + 1].coeffs,
-                       "product", series_mul(row[p + 1], row[p]).coeffs)
-            row = up
+    # Q_{p,n} for every p, one ambient dimension at a time: each series is
+    # built once and only two dimensions are held
+    row = [chow_series(p, 1, order) for p in range(2)]
+    for n in range(1, max_n + 1):
+        up = [chow_series(p, n + 1, order) for p in range(n + 2)]
+        for p in range(n):
+            yield ({"check": "series-factorization", "p": p, "n": n,
+                    "order": order, "method": SERIES_CLOSED},
+                   "direct", up[p + 1].coeffs,
+                   "product", series_mul(row[p + 1], row[p]).coeffs)
+        row = up
+    for n in range(1, max_n + 1):
+        for p in range(n):
+            yield ({"check": "series-factorization", "p": p, "n": n,
+                    "order": order, "method": SERIES_FUNCTIONAL},
+                   "closed-series", chow_series(p + 1, n + 1, order).coeffs,
+                   "functional",
+                   chow_series(p + 1, n + 1, order, SERIES_FUNCTIONAL).coeffs)
     for m in range(_MAX_POW + 1):
         for d in range(order + 1):
             yield ({"check": "signed-binomial-vs-series", "m": m, "d": d},
@@ -217,10 +229,13 @@ def _series(max_p: int, max_n: int, max_d: int, order: int):
 def _quaternionic(max_p: int, max_n: int, max_d: int, order: int):
     """Invariant-cycle identities.
 
-    The two quaternionic decomposition oracles against the closed form, the
-    identification with the plain cycle spaces of P^{2n-1}, the invariance
-    of the count under diagonalizable group actions, and the vanishing of
-    symmetric products of a space with Euler characteristic zero.
+    The two quaternionic decomposition oracles against the closed form; the
+    identification with the plain cycle spaces of P^{2n-1}, each
+    ``math.comb`` value of the quaternionic closed form against the ratio
+    recurrence of the closed series Q_{p,2n-1}, one series per (p, n); the
+    invariance of the count under diagonalizable group actions; and the
+    vanishing of symmetric products of a space with Euler characteristic
+    zero.
     """
     for n in range(1, max_n + 1):
         for d in range(max_d + 1):
@@ -234,10 +249,10 @@ def _quaternionic(max_p: int, max_n: int, max_d: int, order: int):
             yield ({"check": "d1-vandermonde", "p": p, "n": n},
                    "binomial", binomial(2 * n, p + 1),
                    "oracle-d1", quaternionic_d1_oracle(p, n))
+            ambient = chow_series(p, 2 * n - 1, max_d).coeffs
             for d in range(max_d + 1):
                 yield ({"check": "ambient-match", "p": p, "n": n, "d": d},
-                       "chow-closed",
-                       chow_euler_closed(ChowParams(p, 2 * n - 1, d)).chi,
+                       "closed-series", ambient[d],
                        "quaternionic-closed",
                        quaternionic_euler_closed(QuaternionicParams(p, n, d)))
     for n in range(max_n + 1):
@@ -293,6 +308,6 @@ def run_suite(
                 report.check(inputs, expected_path, expected, actual_path, actual)
             if name == "all":   # the suite goes first in each failure's inputs
                 for f in report.failures[start:]:
-                    set_field(f, "inputs", {"suite": suite, **f.inputs})
+                    _set_inputs(f, {"suite": suite, **f.inputs})
     report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return report

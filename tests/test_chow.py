@@ -224,13 +224,24 @@ def test_tables_answer_any_query_sequence(queries, k):
 def test_functional_table_keeps_only_its_frontier():
     # A functional cell is read only to grow its two neighbours, so a fresh
     # (p, n) box keeps its top row and right column; suspension rows are
-    # extended in place and every one is kept.
-    for p, n in [(0, 5), (5, 5), (2, 7), (4, 9)]:
+    # extended in place and every one is kept.  Neither grower reads the
+    # edges p = 0 or p = n, so an edge query grows one cell and no box
+    # grows the cell (0, 0).
+    for p, n, functional, suspension in [(0, 5, 1, 1), (5, 5, 1, 1),
+                                         (2, 7, 8, 17), (4, 9, 10, 29)]:
         clear_tables()
         chow_series(p, n, 6, "functional")
-        assert len(chow._FUNCTIONAL._cells) == n + 1
+        assert len(chow._FUNCTIONAL._cells) == functional
         chow_euler_recursive(ChowParams(p, n, 6))
-        assert len(chow._SUSPENSION._cells) == (p + 1) * (n - p + 1)
+        assert len(chow._SUSPENSION._cells) == suspension
+        assert (0, 0) not in chow._SUSPENSION._cells
+
+
+def test_zero_cycle_query_grows_one_suspension_row():
+    # p = 0 is a base case of the recursion: its row reads no other row
+    clear_tables()
+    assert chow_euler_recursive(ChowParams(0, 1000, 300)).chi == math.comb(1300, 300)
+    assert list(chow._SUSPENSION._cells) == [(0, 1000)]
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -338,3 +338,24 @@ def test_closed_pipe_is_not_a_mismatch():
         err = proc.stderr.read()
     assert "Traceback" not in err and "BrokenPipeError" not in err
     assert code == EXIT_BROKEN_PIPE == 141
+
+
+def test_memory_error_under_a_real_limit_is_an_internal_error():
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS"):
+        pytest.skip("no address-space limit on this platform")
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    limit = 150 * 2**20 if hard == resource.RLIM_INFINITY else min(150 * 2**20, hard)
+
+    def cap_address_space():     # runs in the child, before chowchi starts
+        resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+    # 10^8 + 1 coefficients of a geometric series do not fit in 150 MiB
+    proc = subprocess.run(
+        [sys.executable, "-m", "chowchi", "series", "--p", "0", "--n", "1",
+         "--order", "100000000"],
+        capture_output=True, text=True, check=False, env=child_env(),
+        preexec_fn=cap_address_space, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        EXIT_INTERNAL_ERROR, "", "chowchi: internal error: MemoryError: \n")
+    assert EXIT_INTERNAL_ERROR == 70

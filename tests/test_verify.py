@@ -1,9 +1,13 @@
 """Verification harness: suites pass on honest code and catch planted lies."""
 
+from collections import Counter
+
 import pytest
 
 import chowchi.verify as verify_mod
+from chowchi import chow
 from chowchi.chow import ChowParams, chow_euler_closed
+from chowchi.series import TruncatedSeries, series_mul
 from chowchi.verify import SUITE_NAMES, VerificationReport, run_suite
 
 
@@ -151,9 +155,76 @@ def test_all_labels_failures_with_their_suite(monkeypatch):
         assert list(failure["inputs"])[:2] == ["suite", "check"]
 
 
+def test_ambient_match_catches_a_wrong_closed_series(monkeypatch):
+    honest = verify_mod.chow_series
+
+    def lying(p, n, order, method="closed"):
+        s = honest(p, n, order, method)
+        if (p, n) == (1, 3):    # Q_{1,3}, the ambient series of quaternionic n = 2
+            return TruncatedSeries(s.coeffs[:2] + (s.coeffs[2] + 1,) + s.coeffs[3:])
+        return s
+
+    monkeypatch.setattr(verify_mod, "chow_series", lying)
+    failures = run_suite("quaternionic", 2, 3, 4, 6).to_json_dict()["failures"]
+    assert failures == [{
+        "inputs": {"check": "ambient-match", "p": "1", "n": "2", "d": "2"},
+        "expected": {"path": "closed-series", "value": "22"},
+        "actual": {"path": "quaternionic-closed", "value": "21"},
+    }]
+
+
+def clear_tables():
+    for table in (chow._SUSPENSION, chow._POINTS, chow._FUNCTIONAL):
+        table.cache_clear()
+
+
+def test_functional_factorization_catches_a_product_both_sides_share(monkeypatch):
+    # The functional table multiplies with chow.series_mul; a check that
+    # multiplied the same two cells again would agree with any product.
+    def wrong(a, b):
+        s = series_mul(a, b)
+        return TruncatedSeries(s.coeffs[:-1] + (s.coeffs[-1] + 1,))
+
+    monkeypatch.setattr(chow, "series_mul", wrong)
+    monkeypatch.setattr(verify_mod, "series_mul", wrong)
+    clear_tables()
+    try:
+        report = run_suite("series", 2, 3, 4, 6)
+    finally:
+        clear_tables()
+    functional = [(f.inputs["p"], f.inputs["n"], f.expected_path, f.actual_path)
+                  for f in report.failures if f.inputs.get("method") == "functional"]
+    assert functional == [(str(p), str(n), "closed-series", "functional")
+                          for n in range(1, 4) for p in range(n)]
+
+
+def test_each_case_computes_each_side_once(monkeypatch):
+    calls = Counter()
+
+    def counting(name):
+        route = getattr(verify_mod, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return route(*args)
+        return wrapper
+
+    for name in ("chow_euler_closed", "series_mul"):
+        monkeypatch.setattr(verify_mod, name, counting(name))
+    run_suite("quaternionic", 4, 6, 10, 12)
+    assert calls == {"chow_euler_closed": 308}    # group-invariant-match only
+    calls.clear()
+    run_suite("series", 4, 6, 10, 12)
+    assert calls == {"series_mul": 17 * 17 + 21}  # closed factorization only
+
+
 @pytest.mark.parametrize("bounds, counts", [
     ((4, 6, 10, 12), (912, 77, 552, 941, 2482)),
     ((8, 16, 30, 30), (11513, 527, 1088, 14246, 27374)),
+    ((0, 0, 0, 0), (3, 1, 306, 22, 332)),
+    ((1, 2, 3, 4), (71, 12, 380, 89, 552)),
+    ((5, 3, 7, 9), (270, 32, 471, 245, 1018)),
+    ((2, 8, 4, 3), (436, 45, 429, 790, 1700)),
 ])
 def test_cases_run_per_suite(bounds, counts):
     names = ("recursion", "base-cases", "series", "quaternionic", "all")
