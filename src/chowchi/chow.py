@@ -19,17 +19,19 @@ convolution; only the closed form is an independent derivation.  Agreement
 of the three over a parameter grid is the package's central self-check (see
 :mod:`chowchi.verify`).
 
-The recursive, point and functional routes fill module-level tables
-bottom-up in dependency order, so no result depends on Python's recursion
-limit.  A (p, n, d) query costs O(p * (n - p) * d^2) big-integer products
-the first time.  The recursive and point tables keep every row, so a later
-query inside a grown box is one lookup; the functional table keeps only the
-top row and right column of a box, and rebuilds the inside from them when a
-later query needs it.  ``cache_clear()`` on a table empties it.
+The recursive and functional routes fill two module-level tables bottom-up
+in dependency order, so no result depends on Python's recursion limit.  A
+(p, n, d) query costs O(p * (n - p) * d^2) big-integer products the first
+time.  The recursive table keeps every row, so a later query inside a grown
+box is one lookup; the functional table keeps only the top row and right
+column of a box, and rebuilds the inside from them when a later query needs
+it.  ``cache_clear()`` on a table empties it.  The 0-cycle point recursion
+keeps no state: it is n running sums, recomputed per call.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from operator import mul
 
 from . import _tables
@@ -155,13 +157,7 @@ def _grow_suspension(rows: dict, a: int, b: int, length: int) -> None:
             row.append(down[e] + sum(map(mul, left, rdown[top - e:])))
 
 
-def _reads_inner(a: int, b: int) -> tuple:
-    # The suspension and functional growers read both neighbours of an
-    # inner cell and nothing on the edges a = 0 or b = 0.
-    return ((a, b - 1), (a - 1, b)) if a and b else ()
-
-
-_SUSPENSION = _tables.GridTable(len, _grow_suspension, _reads_inner)
+_SUSPENSION = _tables.GridTable(_grow_suspension)
 
 
 def chow_euler_recursive(params: ChowParams) -> EulerValue:
@@ -184,28 +180,16 @@ def chow_euler_recursive(params: ChowParams) -> EulerValue:
     return EulerValue(row[params.d], METHOD_RECURSIVE)
 
 
-def _grow_points(rows: dict, m: int, _: int, length: int) -> None:
-    # Row (m, 0) holds chi(C_{0,e}(P^m)) for e < len(row); it draws on row
-    # (m - 1, 0) alone.
-    row = rows.setdefault((m, 0), [])
-    for e in range(len(row), length):
-        # 1 + sum_{i<=e} chi(C_{0,i}(P^{m-1})), telescoped in e
-        row.append(1 if m == 0 or e == 0 else row[e - 1] + rows[m - 1, 0][e])
-
-
-_POINTS = _tables.GridTable(len, _grow_points,
-                           lambda m, _: ((m - 1, 0),) if m else ())
-
-
 def points_euler_recursive(n: int, d: int) -> int:
     """chi(C_{0,d}(P^n)) from the inner recursion
 
         chi(C_{0,d}(P^{n+1})) = 1 + sum_{i=1}^{d} chi(C_{0,i}(P^n)),
 
     with base chi(C_{0,d}(P^0)) = 1 (a point carries one cycle per degree).
-    The sum is telescoped, so a table of rows per n is extended in O(n * d)
-    additions.  This never calls ``binomial``, making it an independent
-    oracle for the 0-cycle value C(n+d, d).
+    With chi(C_{0,0}) = 1 the right side is a prefix sum, so n running sums
+    over a row of d + 1 ones give the value in O(n * d) additions, and
+    nothing is kept between calls.  This never calls ``binomial``, making it
+    an independent oracle for the 0-cycle value C(n+d, d).
 
     >>> points_euler_recursive(0, 5)
     1
@@ -216,30 +200,36 @@ def points_euler_recursive(n: int, d: int) -> int:
     """
     if n < 0 or d < 0:
         raise ValueError(f"require n >= 0 and d >= 0, got n={n}, d={d}")
-    return _POINTS.cell(n, 0, d + 1)[d]
-
-
-def _truncate(s: TruncatedSeries, order: int) -> TruncatedSeries:
-    # Truncation is a ring homomorphism, so a prefix of a higher-order
-    # series is the series at the lower order.
-    return s if s.order == order else TruncatedSeries._trusted(s.coeffs[:order + 1])
+    row = [1] * (d + 1)
+    for _ in range(n):
+        row = list(accumulate(row))
+    return row[d]
 
 
 def _grow_functional(cells: dict, a: int, b: int, size: int) -> None:
-    # Cell (a, b) holds Q_{a,a+b}(t) at the largest order built so far.
+    # Cell (a, b) holds the coefficients of Q_{a,a+b}(t) at the largest
+    # order built so far.  A prefix of them is the series at a lower order,
+    # since truncation is a ring homomorphism.
     order = size - 1
     if a == 0:
         s = series_geom_pow(b + 1, order)   # Q_{0,m} = (1/(1-t))^{m+1}
     elif b == 0:
         s = series_geom_pow(1, order)       # Q_{q,q} = 1/(1-t)
     else:
-        s = series_mul(_truncate(cells[a, b - 1], order),
-                       _truncate(cells[a - 1, b], order))
-    cells[a, b] = s
+        s = series_mul(TruncatedSeries._trusted(cells[a, b - 1][:size]),
+                       TruncatedSeries._trusted(cells[a - 1, b][:size]))
+    cells[a, b] = s.coeffs
+    # A cell is read only to grow (x, y + 1) and (x + 1, y), and each is
+    # rebuilt whole, so it goes once both hold at least as many entries: a
+    # fresh box keeps its top row and right column, and a later query
+    # inside it rebuilds the cells it needs from them.
+    for x, y in (a, b - 1), (a - 1, b):
+        if len(cells.get((x, y), ())) <= min(len(cells.get((x, y + 1), ())),
+                                              len(cells.get((x + 1, y), ()))):
+            cells.pop((x, y), None)
 
 
-_FUNCTIONAL = _tables.GridTable(lambda s: len(s.coeffs), _grow_functional,
-                                _reads_inner, release_used=True)
+_FUNCTIONAL = _tables.GridTable(_grow_functional)
 
 
 def chow_series(p: int, n: int, order: int, method: str = SERIES_CLOSED) -> TruncatedSeries:
@@ -265,25 +255,21 @@ def chow_series(p: int, n: int, order: int, method: str = SERIES_CLOSED) -> Trun
     if method == SERIES_CLOSED:
         return series_geom_pow(v_pn(p, n), order)
     if method == SERIES_FUNCTIONAL:
-        return _truncate(_FUNCTIONAL.cell(p, n - p, order + 1), order)
+        coeffs = _FUNCTIONAL.cell(p, n - p, order + 1)
+        return TruncatedSeries._trusted(coeffs[:order + 1])
     raise ValueError(f"unknown series method {method!r}")
 
 
-def chow_euler_series(params: ChowParams, order: int | None = None) -> EulerValue:
+def chow_euler_series(params: ChowParams) -> EulerValue:
     """chi(C_{p,d}(P^n)) read off as a functional-equation series coefficient.
 
     The third route: the degree-d coefficient of the series built by
-    ``chow_series(..., method="functional")``.  ``order`` defaults to the
-    degree itself and must not be smaller.
+    ``chow_series(..., method="functional")`` at order d.
 
     >>> chow_euler_series(ChowParams(1, 3, 2)).chi
     21
     """
-    if order is None:
-        order = params.d
-    if order < params.d:
-        raise ValueError(f"order {order} is below degree {params.d}")
-    s = chow_series(params.p, params.n, order, SERIES_FUNCTIONAL)
+    s = chow_series(params.p, params.n, params.d, SERIES_FUNCTIONAL)
     return EulerValue(series_coefficient(s, params.d), METHOD_SERIES)
 
 

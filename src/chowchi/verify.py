@@ -179,7 +179,6 @@ def _recursion(max_p: int, max_n: int, max_d: int, order: int):
 def _base_cases(max_p: int, max_n: int, max_d: int, order: int):
     """The 0-cycle base case: inner point recursion against C(n+d, d)."""
     for n in range(max_n + 1):
-        points_euler_recursive(n, max_d)    # grow the row once
         for d in range(max_d + 1):
             yield ({"check": "points-recursion", "n": n, "d": d},
                    "binomial", binomial(n + d, d),

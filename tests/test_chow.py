@@ -109,9 +109,6 @@ def test_series_methods_agree():
 
 def test_series_route_order_handling():
     assert chow_euler_series(ChowParams(1, 3, 2)).chi == 21
-    assert chow_euler_series(ChowParams(1, 3, 2), order=10).chi == 21
-    with pytest.raises(ValueError):
-        chow_euler_series(ChowParams(1, 3, 5), order=3)
 
 
 def test_three_routes_agree_on_grid():
@@ -177,7 +174,7 @@ def closed(p, n, d):
 
 
 def clear_tables():
-    for table in (chow._SUSPENSION, chow._POINTS, chow._FUNCTIONAL):
+    for table in (chow._SUSPENSION, chow._FUNCTIONAL):
         table.cache_clear()
 
 
@@ -242,6 +239,16 @@ def test_zero_cycle_query_grows_one_suspension_row():
     clear_tables()
     assert chow_euler_recursive(ChowParams(0, 1000, 300)).chi == math.comb(1300, 300)
     assert list(chow._SUSPENSION._cells) == [(0, 1000)]
+
+
+def test_only_the_two_convolution_routes_keep_tables():
+    # The 0-cycle point recursion recomputes its running sums on every call.
+    tables = {name for name, value in vars(chow).items()
+              if callable(getattr(value, "cache_clear", None))}
+    assert tables == {"_SUSPENSION", "_FUNCTIONAL"}
+    clear_tables()
+    assert points_euler_recursive(30, 200) == math.comb(230, 200)
+    assert chow._SUSPENSION._cells == {} and chow._FUNCTIONAL._cells == {}
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -173,8 +173,23 @@ def test_ambient_match_catches_a_wrong_closed_series(monkeypatch):
     }]
 
 
+def test_base_cases_catch_a_lying_point_recursion(monkeypatch):
+    honest = verify_mod.points_euler_recursive
+
+    def lying(n, d):
+        return honest(n, d) + ((n, d) == (2, 3))
+
+    monkeypatch.setattr(verify_mod, "points_euler_recursive", lying)
+    failures = run_suite("base-cases", 2, 3, 4, 6).to_json_dict()["failures"]
+    assert failures == [{
+        "inputs": {"check": "points-recursion", "n": "2", "d": "3"},
+        "expected": {"path": "binomial", "value": "10"},
+        "actual": {"path": "points-recursive", "value": "11"},
+    }]
+
+
 def clear_tables():
-    for table in (chow._SUSPENSION, chow._POINTS, chow._FUNCTIONAL):
+    for table in (chow._SUSPENSION, chow._FUNCTIONAL):
         table.cache_clear()
 
 
