@@ -10,6 +10,7 @@ it larger or its grower dropped it.
 from __future__ import annotations
 
 import threading
+from collections.abc import Callable
 
 __all__ = ["GridTable"]
 
@@ -27,7 +28,7 @@ class GridTable:
 
     def __init__(self, grow: Callable[[dict, int, int, int], None]):
         self._grow = grow
-        self._cells: dict[tuple[int, int], Any] = {}
+        self._cells: dict[tuple[int, int], object] = {}
         self._lock = threading.Lock()
 
     def cache_clear(self) -> None:
@@ -35,7 +36,7 @@ class GridTable:
         with self._lock:
             self._cells = {}
 
-    def cell(self, a: int, b: int, need: int) -> Any:
+    def cell(self, a: int, b: int, need: int) -> object:
         """Cell (a, b) holding at least ``need`` entries."""
         cell = self._cells.get((a, b))
         if cell is None or len(cell) < need:

@@ -96,11 +96,11 @@ class VerificationReport(Record):
 
     def check(
         self,
-        inputs: dict[str, Any],
+        inputs: dict[str, object],
         expected_path: str,
-        expected: Any,
+        expected: object,
         actual_path: str,
-        actual: Any,
+        actual: object,
     ) -> None:
         """Record one comparison; a mismatch becomes a Failure entry."""
         self.cases_run += 1
@@ -115,7 +115,7 @@ class VerificationReport(Record):
                 )
             )
 
-    def to_json_dict(self) -> dict[str, Any]:
+    def to_json_dict(self) -> dict[str, object]:
         """JSON-ready dict; every numeric field is a decimal string."""
         return {
             "suite": self.suite,

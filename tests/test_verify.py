@@ -1,11 +1,12 @@
 """Verification harness: suites pass on honest code and catch planted lies."""
 
+import typing
 from collections import Counter
 
 import pytest
 
 import chowchi.verify as verify_mod
-from chowchi import chow
+from chowchi import _tables, chow
 from chowchi.chow import ChowParams, chow_euler_closed
 from chowchi.series import TruncatedSeries, series_mul
 from chowchi.verify import SUITE_NAMES, VerificationReport, run_suite
@@ -244,3 +245,9 @@ def test_each_case_computes_each_side_once(monkeypatch):
 def test_cases_run_per_suite(bounds, counts):
     names = ("recursion", "base-cases", "series", "quaternionic", "all")
     assert [run_suite(name, *bounds).cases_run for name in names] == list(counts)
+
+
+def test_annotations_resolve():
+    for method in (_tables.GridTable.__init__, _tables.GridTable.cell,
+                   VerificationReport.check, VerificationReport.to_json_dict):
+        assert typing.get_type_hints(method)
