@@ -1,9 +1,11 @@
 """Command line surface: single values, series and degree tables,
 quaternionic checks, and the verification sweeps.
 
-Output is deterministic for a given command line.  Every number inside JSON
-output is a decimal string, never a float, so arbitrarily large counts pass
-through any JSON consumer unchanged.  Exit codes: 0 for success or a clean
+Each command returns its JSON payload, CSV header and rows, and exit code,
+and ``main`` prints them in one place; ``verify`` prints JSON only.  Output
+is deterministic for a given command line.  Every number inside JSON output
+is a decimal string, never a float, so arbitrarily large counts pass through
+any JSON consumer unchanged.  Exit codes: 0 for success or a clean
 verification, 1 when any cross-check disagrees, 2 for usage errors, 70
 (``EX_SOFTWARE``) with one ``chowchi: internal error: <type>: <message>``
 line on stderr for any other exception, such as a ``MemoryError``, and 141
@@ -49,19 +51,9 @@ def _query(subcommand: str, **params) -> dict:
     }
 
 
-def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
-
-
-def _print_csv(rows: list[tuple[str, str]], header: str) -> None:
-    lines = [header] + [f"{a},{b}" for a, b in rows]
-    print("\n".join(lines))
-
-
-def _print_routes(fmt: str, query: dict, results: list[tuple[str, str]],
-                  note: str | None = None) -> int:
-    """Print each route's (method, value), with a match flag when more than
-    one route ran and the optional note; exit 1 when the routes disagree."""
+def _routes(query: dict, results: list, note: str | None = None) -> tuple:
+    """Each route's (method, value), with a match flag when more than one
+    route ran and the optional note; exit 1 when the routes disagree."""
     payload = {
         "query": query,
         "results": [{"method": m, "value": v} for m, v in results],
@@ -75,14 +67,10 @@ def _print_routes(fmt: str, query: dict, results: list[tuple[str, str]],
     if note is not None:
         payload["note"] = note
         rows.append(("note", note))
-    if fmt == "json":
-        _print_json(payload)
-    else:
-        _print_csv(rows, "method,value")
-    return 0 if match else 1
+    return payload, "method,value", rows, 0 if match else 1
 
 
-def _cmd_chow(args) -> int:
+def _cmd_chow(args) -> tuple:
     params = ChowParams(args.p, args.n, args.d)
     methods = ["closed", "recursive", "series"] if args.method == "all" else [args.method]
     compute = {
@@ -92,24 +80,18 @@ def _cmd_chow(args) -> int:
     }
     results = [(m, str(compute[m](params).chi)) for m in methods]
     query = _query("chow", p=args.p, n=args.n, d=args.d, method=args.method)
-    return _print_routes(args.format, query, results)
+    return _routes(query, results)
 
 
-def _cmd_series(args) -> int:
+def _cmd_series(args) -> tuple:
     s = chow_series(args.p, args.n, args.order, method=args.method)
     coeffs = [str(c) for c in s.coeffs]
-    if args.format == "json":
-        _print_json({
-            "query": _query("series", p=args.p, n=args.n,
-                            order=args.order, method=args.method),
-            "results": [{"method": args.method, "value": coeffs}],
-        })
-    else:
-        _print_csv([(str(d), c) for d, c in enumerate(coeffs)], "d,chi")
-    return 0
+    query = _query("series", p=args.p, n=args.n, order=args.order, method=args.method)
+    payload = _routes(query, [(args.method, coeffs)])[0]
+    return payload, "d,chi", list(enumerate(coeffs)), 0
 
 
-def _cmd_quaternionic(args) -> int:
+def _cmd_quaternionic(args) -> tuple:
     params = QuaternionicParams(args.p, args.qn, args.d)
     results = [("closed", str(quaternionic_euler_closed(params)))]
     note = None
@@ -121,26 +103,23 @@ def _cmd_quaternionic(args) -> int:
         if len(results) == 1:
             note = "no decomposition oracle applies; oracles cover p=0 and d=1"
     query = _query("quaternionic", p=args.p, qn=args.qn, d=args.d, oracle=args.oracle)
-    return _print_routes(args.format, query, results, note)
+    return _routes(query, results, note)
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args) -> tuple:
     if args.max_d < 0:
         raise ValueError(f"max_d must be nonnegative, got {args.max_d}")
     # the closed series is the whole table; it also validates p and n
     coeffs = chow_series(args.p, args.n, args.max_d).coeffs
     rows = [(str(d), str(chi)) for d, chi in enumerate(coeffs)]
-    if args.format == "json":
-        _print_json({
-            "query": _query("table", p=args.p, n=args.n, max_d=args.max_d),
-            "rows": [{"d": d, "chi": chi} for d, chi in rows],
-        })
-    else:
-        _print_csv(rows, "d,chi")
-    return 0
+    payload = {
+        "query": _query("table", p=args.p, n=args.n, max_d=args.max_d),
+        "rows": [{"d": d, "chi": chi} for d, chi in rows],
+    }
+    return payload, "d,chi", rows, 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple:
     report = run_suite(
         args.suite,
         max_p=args.max_p,
@@ -148,8 +127,7 @@ def _cmd_verify(args) -> int:
         max_d=args.max_d,
         order=args.order,
     )
-    _print_json(report.to_json_dict())
-    return 0 if report.ok else 1
+    return report.to_json_dict(), None, None, 0 if report.ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -203,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-n", type=int, default=6, dest="max_n")
     p_verify.add_argument("--max-d", type=int, default=10, dest="max_d")
     p_verify.add_argument("--order", type=int, default=12)
-    p_verify.set_defaults(func=_cmd_verify)
+    p_verify.set_defaults(func=_cmd_verify, format="json")
 
     p_table = sub.add_parser(
         "table", help="degree table of chi(C_{p,d}(P^n)) for d = 0..max-d")
@@ -241,7 +219,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         with _unlimited_int_digits():
-            code = args.func(args)
+            payload, header, rows, code = args.func(args)
+            if args.format == "json":
+                print(json.dumps(payload, indent=2))
+            else:
+                print("\n".join([header, *(f"{a},{b}" for a, b in rows)]))
         # a closed pipe must surface here, not in the interpreter's last flush
         sys.stdout.flush()
         return code

@@ -1,7 +1,8 @@
 """Parameter-sweep consistency suites with machine-readable reports.
 
 Each suite recomputes a family of exact identities by two routes and records
-every disagreement; an empty failure list is the pass condition.
+every disagreement as the entry its report prints, with the inputs and both
+paths and values as strings; an empty failure list is the pass condition.
 ``run_suite`` is the one entry, and no suite has a public function of its
 own: it runs a suite by name, or every suite in sequence for ``"all"``, and
 the CLI surfaces it as ``chowchi verify``.  The sweep sizes are chosen so
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import time
 
-from ._record import Record, field_setters
+from ._record import Record
 from .binomials import binomial, binomial_signed
 from .chow import (
     ChowParams,
@@ -34,42 +35,13 @@ from .invariants import (
 )
 from .series import series_coefficient, series_geom_pow, series_mul
 
-__all__ = [
-    "Failure",
-    "VerificationReport",
-    "SUITE_NAMES",
-    "run_suite",
-]
+__all__ = ["VerificationReport", "SUITE_NAMES", "run_suite"]
 
 SUITE_NAMES = ("recursion", "series", "quaternionic", "base-cases", "all")
 
 
-class Failure(Record):
-    """One disagreement between two computation paths, with its inputs."""
-
-    __slots__ = ("inputs", "expected_path", "expected_value",
-                 "actual_path", "actual_value")
-    inputs: dict[str, str]
-    expected_path: str
-    expected_value: str
-    actual_path: str
-    actual_value: str
-
-    def __init__(self, inputs: dict[str, str], expected_path: str,
-                 expected_value: str, actual_path: str, actual_value: str):
-        _set_inputs(self, inputs)
-        _set_expected_path(self, expected_path)
-        _set_expected_value(self, expected_value)
-        _set_actual_path(self, actual_path)
-        _set_actual_value(self, actual_value)
-
-
-(_set_inputs, _set_expected_path, _set_expected_value, _set_actual_path,
- _set_actual_value) = field_setters(Failure)
-
-
 class VerificationReport(Record):
-    """Outcome of a consistency sweep: case count, failures, wall time.
+    """Outcome of a consistency sweep: case count, failure entries, wall time.
 
     Unlike the other records it is mutable and unhashable; ``run_suite`` fills it in.
     """
@@ -77,14 +49,14 @@ class VerificationReport(Record):
     __slots__ = ("suite", "cases_run", "failures", "elapsed_ms")
     suite: str
     cases_run: int
-    failures: list[Failure]
+    failures: list[dict]
     elapsed_ms: int
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
     __hash__ = None
 
     def __init__(self, suite: str, cases_run: int = 0,
-                 failures: list[Failure] | None = None, elapsed_ms: int = 0):
+                 failures: list[dict] | None = None, elapsed_ms: int = 0):
         self.suite = suite
         self.cases_run = cases_run
         self.failures = [] if failures is None else failures
@@ -102,32 +74,21 @@ class VerificationReport(Record):
         actual_path: str,
         actual: object,
     ) -> None:
-        """Record one comparison; a mismatch becomes a Failure entry."""
+        """Count one comparison; a mismatch is kept as the entry it prints as."""
         self.cases_run += 1
         if expected != actual:
-            self.failures.append(
-                Failure(
-                    inputs={k: str(v) for k, v in inputs.items()},
-                    expected_path=expected_path,
-                    expected_value=str(expected),
-                    actual_path=actual_path,
-                    actual_value=str(actual),
-                )
-            )
+            self.failures.append({
+                "inputs": {k: str(v) for k, v in inputs.items()},
+                "expected": {"path": expected_path, "value": str(expected)},
+                "actual": {"path": actual_path, "value": str(actual)},
+            })
 
     def to_json_dict(self) -> dict[str, object]:
         """JSON-ready dict; every numeric field is a decimal string."""
         return {
             "suite": self.suite,
             "cases_run": str(self.cases_run),
-            "failures": [
-                {
-                    "inputs": dict(f.inputs),
-                    "expected": {"path": f.expected_path, "value": f.expected_value},
-                    "actual": {"path": f.actual_path, "value": f.actual_value},
-                }
-                for f in self.failures
-            ],
+            "failures": list(self.failures),
             "elapsed_ms": str(self.elapsed_ms),
         }
 
@@ -141,8 +102,8 @@ def _recursion(max_p: int, max_n: int, max_d: int, order: int):
 
     Checks, over p <= min(max_p, n), n <= max_n, d <= max_d: recursion and
     functional-series coefficients against the closed form, positivity of
-    every value, the degree-one Pascal reduction, and the divisor-space
-    identity.
+    every value, the degree-one Pascal reduction, and the monomial count of
+    each divisor space against the suspension recursion at (p, p + 1, d).
     """
     order = max(order, max_d)
     for n in range(max_n + 1):
@@ -170,10 +131,12 @@ def _recursion(max_p: int, max_n: int, max_d: int, order: int):
                    "pascal-sum", binomial(n + 1, p + 1) + binomial(n + 1, p + 2),
                    "recursive", chow_euler_recursive(ChowParams(p + 1, n + 1, 1)).chi)
     for p in range(max_n):
+        # the suspension row b = 1, grown to max_d once
+        chow_euler_recursive(ChowParams(p, p + 1, max_d))
         for d in range(max_d + 1):
             yield ({"check": "divisor-space", "p": p, "d": d},
                    "monomial-count", divisor_check(p, d),
-                   "closed", chow_euler_closed(ChowParams(p, p + 1, d)).chi)
+                   "recursive", chow_euler_recursive(ChowParams(p, p + 1, d)).chi)
 
 
 def _base_cases(max_p: int, max_n: int, max_d: int, order: int):
@@ -242,12 +205,13 @@ def _quaternionic(max_p: int, max_n: int, max_d: int, order: int):
                    "closed", quaternionic_euler_closed(QuaternionicParams(0, n, d)),
                    "oracle-p0", quaternionic_p0_oracle(n, d))
         for p in range(2 * n):
+            d1 = quaternionic_d1_oracle(p, n)
             yield ({"check": "d1-oracle", "p": p, "n": n},
                    "closed", quaternionic_euler_closed(QuaternionicParams(p, n, 1)),
-                   "oracle-d1", quaternionic_d1_oracle(p, n))
+                   "oracle-d1", d1)
             yield ({"check": "d1-vandermonde", "p": p, "n": n},
                    "binomial", binomial(2 * n, p + 1),
-                   "oracle-d1", quaternionic_d1_oracle(p, n))
+                   "oracle-d1", d1)
             ambient = chow_series(p, 2 * n - 1, max_d).coeffs
             for d in range(max_d + 1):
                 yield ({"check": "ambient-match", "p": p, "n": n, "d": d},
@@ -306,7 +270,7 @@ def run_suite(
             for inputs, expected_path, expected, actual_path, actual in cases(*bounds):
                 report.check(inputs, expected_path, expected, actual_path, actual)
             if name == "all":   # the suite goes first in each failure's inputs
-                for f in report.failures[start:]:
-                    _set_inputs(f, {"suite": suite, **f.inputs})
+                for entry in report.failures[start:]:
+                    entry["inputs"] = {"suite": suite, **entry["inputs"]}
     report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return report

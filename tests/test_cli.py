@@ -359,3 +359,151 @@ def test_memory_error_under_a_real_limit_is_an_internal_error():
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         EXIT_INTERNAL_ERROR, "", "chowchi: internal error: MemoryError: \n")
     assert EXIT_INTERNAL_ERROR == 70
+
+
+# Exact stdout, byte for byte, of one small query of each output shape.
+# Three routes, the first closed at 6; filled in with the second route and
+# its value, the third route (at 6) and the match flag.
+_RESULTS_6 = """\
+  "results": [
+    {
+      "method": "closed",
+      "value": "6"
+    },
+    {
+      "method": "%s",
+      "value": "%s"
+    },
+    {
+      "method": "%s",
+      "value": "6"
+    }
+  ],
+  "match": %s
+}
+"""
+_CHOW_ALL_QUERY = """\
+{
+  "query": {
+    "subcommand": "chow",
+    "params": {
+      "p": "1",
+      "n": "2",
+      "d": "2",
+      "method": "all"
+    }
+  },
+"""
+GOLDEN = {
+    "chow-json": (
+        ["chow", "--p", "1", "--n", "2", "--d", "2", "--method", "all"],
+        _CHOW_ALL_QUERY + _RESULTS_6 % ("recursive", "6", "series", "true")),
+    "chow-csv": (
+        ["chow", "--p", "1", "--n", "2", "--d", "2", "--method", "all", "--format", "csv"],
+        "method,value\nclosed,6\nrecursive,6\nseries,6\nmatch,true\n"),
+    "quaternionic-json": (
+        ["quaternionic", "--p", "0", "--qn", "3", "--d", "1", "--oracle", "auto"],
+        """\
+{
+  "query": {
+    "subcommand": "quaternionic",
+    "params": {
+      "p": "0",
+      "qn": "3",
+      "d": "1",
+      "oracle": "auto"
+    }
+  },
+""" + _RESULTS_6 % ("oracle-p0", "6", "oracle-d1", "true")),
+    "quaternionic-csv": (
+        ["quaternionic", "--p", "1", "--qn", "2", "--d", "2", "--oracle", "auto",
+         "--format", "csv"],
+        "method,value\nclosed,21\n"
+        "note,no decomposition oracle applies; oracles cover p=0 and d=1\n"),
+    "series-json": (
+        ["series", "--p", "1", "--n", "2", "--order", "2"],
+        """\
+{
+  "query": {
+    "subcommand": "series",
+    "params": {
+      "p": "1",
+      "n": "2",
+      "order": "2",
+      "method": "closed"
+    }
+  },
+  "results": [
+    {
+      "method": "closed",
+      "value": [
+        "1",
+        "3",
+        "6"
+      ]
+    }
+  ]
+}
+"""),
+    "series-csv": (
+        ["series", "--p", "1", "--n", "2", "--order", "2", "--format", "csv"],
+        "d,chi\n0,1\n1,3\n2,6\n"),
+    "table-json": (
+        ["table", "--p", "1", "--n", "3", "--max-d", "2"],
+        """\
+{
+  "query": {
+    "subcommand": "table",
+    "params": {
+      "p": "1",
+      "n": "3",
+      "max_d": "2"
+    }
+  },
+  "rows": [
+    {
+      "d": "0",
+      "chi": "1"
+    },
+    {
+      "d": "1",
+      "chi": "6"
+    },
+    {
+      "d": "2",
+      "chi": "21"
+    }
+  ]
+}
+"""),
+    "table-csv": (
+        ["table", "--p", "1", "--n", "3", "--max-d", "2", "--format", "csv"],
+        "d,chi\n0,1\n1,6\n2,21\n"),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_golden_stdout(capsys, name):
+    argv, expected = GOLDEN[name]
+    assert run_cli(capsys, argv) == (0, expected, "")
+
+
+def test_golden_verify_stdout(capsys):
+    code, out, err = run_cli(capsys, ["verify", "--max-n", "2", "--max-d", "2"])
+    assert (code, err) == (0, "")
+    head, sep, elapsed = out.rpartition('  "elapsed_ms": "')
+    assert sep and elapsed[:-4].isdigit() and elapsed[-4:] == '"\n}\n'
+    assert head == '{\n  "suite": "all",\n  "cases_run": "663",\n  "failures": [],\n'
+
+
+def test_golden_mismatch_stdout(capsys, monkeypatch):
+    honest = cli_mod.chow_euler_recursive
+
+    def lying(params):
+        value = honest(params)
+        return type(value)(chi=value.chi + 1, method=value.method)
+
+    monkeypatch.setattr(cli_mod, "chow_euler_recursive", lying)
+    argv, _ = GOLDEN["chow-json"]
+    assert run_cli(capsys, argv) == (
+        1, _CHOW_ALL_QUERY + _RESULTS_6 % ("recursive", "7", "series", "false"), "")

@@ -1,10 +1,13 @@
 """Verification harness: suites pass on honest code and catch planted lies."""
 
+import importlib
+import pkgutil
 import typing
 from collections import Counter
 
 import pytest
 
+import chowchi
 import chowchi.verify as verify_mod
 from chowchi import _tables, chow
 from chowchi.chow import ChowParams, chow_euler_closed
@@ -77,14 +80,9 @@ def test_report_check_records_failure():
     assert not report.ok
     assert report.cases_run == 1
     failure = report.failures[0]
-    assert failure.expected_value == "3"
-    assert failure.actual_value == "4"
-    assert failure.inputs == {"p": "1"}
-    assert repr(failure) == (
-        "Failure(inputs={'p': '1'}, expected_path='left', expected_value='3', "
-        "actual_path='right', actual_value='4')")
-    with pytest.raises(AttributeError):
-        failure.actual_value = "3"
+    assert failure["expected"]["value"] == "3"
+    assert failure["actual"]["value"] == "4"
+    assert failure["inputs"] == {"p": "1"}
     # each report owns its failure list
     fresh = VerificationReport("adhoc")
     assert fresh.failures == [] and fresh.failures is not report.failures
@@ -109,10 +107,10 @@ def test_recursion_suite_catches_lying_closed_form(monkeypatch):
     assert not report.ok
     assert len(report.failures) > 0
     failure = report.failures[0]
-    assert failure.inputs["p"] == "1"
-    assert failure.inputs["n"] == "2"
-    assert failure.inputs["d"] == "2"
-    assert failure.expected_value != failure.actual_value
+    assert failure["inputs"]["p"] == "1"
+    assert failure["inputs"]["n"] == "2"
+    assert failure["inputs"]["d"] == "2"
+    assert failure["expected"]["value"] != failure["actual"]["value"]
     payload = report.to_json_dict()
     entry = payload["failures"][0]
     assert set(entry) == {"inputs", "expected", "actual"}
@@ -147,13 +145,27 @@ def test_all_labels_failures_with_their_suite(monkeypatch):
     assert failures == [
         entry("recursion", "recursive-vs-closed", pnd, ("closed", "7"), ("recursive", "6")),
         entry("recursion", "series-vs-closed", pnd, ("closed", "7"), ("series", "6")),
-        entry("recursion", "divisor-space", {"p": "1", "d": "2"},
-              ("monomial-count", "6"), ("closed", "7")),
         entry("quaternionic", "group-invariant-match", pnd,
               ("chow-closed", "7"), ("group-invariant", "6")),
     ]
     for failure in failures:
         assert list(failure["inputs"])[:2] == ["suite", "check"]
+
+
+def test_divisor_space_catches_a_lying_recursion(monkeypatch):
+    honest = verify_mod.chow_euler_recursive
+
+    def lying(params):
+        value = honest(params)
+        if (params.p, params.n, params.d) == (1, 2, 2):
+            return type(value)(chi=value.chi + 1, method=value.method)
+        return value
+
+    monkeypatch.setattr(verify_mod, "chow_euler_recursive", lying)
+    failures = run_suite("recursion", 2, 3, 4, 6).to_json_dict()["failures"]
+    assert {"inputs": {"check": "divisor-space", "p": "1", "d": "2"},
+            "expected": {"path": "monomial-count", "value": "6"},
+            "actual": {"path": "recursive", "value": "7"}} in failures
 
 
 def test_ambient_match_catches_a_wrong_closed_series(monkeypatch):
@@ -208,8 +220,9 @@ def test_functional_factorization_catches_a_product_both_sides_share(monkeypatch
         report = run_suite("series", 2, 3, 4, 6)
     finally:
         clear_tables()
-    functional = [(f.inputs["p"], f.inputs["n"], f.expected_path, f.actual_path)
-                  for f in report.failures if f.inputs.get("method") == "functional"]
+    functional = [(f["inputs"]["p"], f["inputs"]["n"],
+                   f["expected"]["path"], f["actual"]["path"])
+                  for f in report.failures if f["inputs"].get("method") == "functional"]
     assert functional == [(str(p), str(n), "closed-series", "functional")
                           for n in range(1, 4) for p in range(n)]
 
@@ -225,10 +238,11 @@ def test_each_case_computes_each_side_once(monkeypatch):
             return route(*args)
         return wrapper
 
-    for name in ("chow_euler_closed", "series_mul"):
+    for name in ("chow_euler_closed", "series_mul", "quaternionic_d1_oracle"):
         monkeypatch.setattr(verify_mod, name, counting(name))
     run_suite("quaternionic", 4, 6, 10, 12)
-    assert calls == {"chow_euler_closed": 308}    # group-invariant-match only
+    # group-invariant-match only; one d1 oracle per (p, n) for both its checks
+    assert calls == {"chow_euler_closed": 308, "quaternionic_d1_oracle": 42}
     calls.clear()
     run_suite("series", 4, 6, 10, 12)
     assert calls == {"series_mul": 17 * 17 + 21}  # closed factorization only
@@ -251,3 +265,14 @@ def test_annotations_resolve():
     for method in (_tables.GridTable.__init__, _tables.GridTable.cell,
                    VerificationReport.check, VerificationReport.to_json_dict):
         assert typing.get_type_hints(method)
+
+
+def test_every_export_resolves():
+    modules = [chowchi] + [importlib.import_module(f"chowchi.{info.name}")
+                           for info in pkgutil.iter_modules(chowchi.__path__)]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+    namespace = {}
+    exec("from chowchi import *", namespace)
+    assert set(chowchi.__all__) <= set(namespace)
