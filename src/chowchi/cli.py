@@ -11,6 +11,10 @@ verification, 1 when any cross-check disagrees, 2 for usage errors, 70
 line on stderr for any other exception, such as a ``MemoryError``, and 141
 (the shell's code for death by SIGPIPE) when the reader closes stdout before
 the output is written, as ``chowchi verify | head -1`` may.
+
+``main`` returns the exit code and may run many times in one process, so it
+leaves the garbage collector alone.  The process entry, ``chowchi.__main__``,
+calls it once and freezes the heap before the interpreter exits.
 """
 
 from __future__ import annotations

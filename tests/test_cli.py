@@ -1,9 +1,13 @@
 """End-to-end CLI behaviour through in-process main() calls."""
 
 import contextlib
+import gc
+import importlib
 import json
 import math
 import os
+import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -311,6 +315,76 @@ def test_module_entry_point():
         capture_output=True, text=True, check=False, env=child_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"][0]["value"] == "6"
+
+
+def _mask_elapsed(text):
+    return re.sub(r'"elapsed_ms": "\d+"', '"elapsed_ms": "-"', text)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    ["chow", "--p", "3", "--n", "1", "--d", "2"],
+    ["chow", "--p", "1", "--n", "3", "--d", "2", "--method", "all"],
+    ["verify", "--max-n", "2", "--max-d", "2"],
+], ids=["help", "usage-error", "chow-all", "verify"])
+def test_module_entry_matches_main(capsys, monkeypatch, argv):
+    # argparse wraps help text to the terminal; pin one width for both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    proc = subprocess.run([sys.executable, "-m", "chowchi", *argv],
+                          capture_output=True, text=True, check=False,
+                          env=child_env())
+    assert (proc.returncode, _mask_elapsed(proc.stdout), proc.stderr) \
+        == (code, _mask_elapsed(captured.out), captured.err)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0),
+    (["chow", "--p", "1", "--n", "2", "--d", "2"], 0),
+    (["chow", "--p", "3", "--n", "1", "--d", "2"], 2),
+], ids=["help", "chow", "usage-error"])
+def test_module_entry_freezes_the_heap_once(capsys, monkeypatch, argv, code):
+    frozen = []
+    monkeypatch.setattr(gc, "freeze", lambda: frozen.append(True))
+    monkeypatch.setattr(sys, "argv", ["chowchi", *argv])
+    # runpy warns when it re-runs a module that is already imported
+    monkeypatch.delitem(sys.modules, "chowchi.__main__", raising=False)
+    with pytest.raises(SystemExit) as excinfo:
+        runpy.run_module("chowchi", run_name="__main__")
+    capsys.readouterr()
+    assert (excinfo.value.code, frozen) == (code, [True])
+
+
+def test_main_never_freezes_the_heap(capsys):
+    before = gc.get_freeze_count()
+    for argv in (["chow", "--p", "1", "--n", "2", "--d", "2", "--method", "all"],
+                 ["series", "--p", "1", "--n", "2", "--order", "4", "--format", "csv"],
+                 ["chow", "--p", "3", "--n", "1", "--d", "2"],
+                 ["verify", "--max-n", "2", "--max-d", "2"]):
+        main(argv)
+    capsys.readouterr()
+    assert gc.get_freeze_count() == before
+
+
+def test_console_script_is_the_module_entry():
+    tomllib = pytest.importorskip("tomllib")
+    import chowchi.__main__ as entry
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    module, _, name = scripts["chowchi"].partition(":")
+    assert getattr(importlib.import_module(module), name) is entry.run
+
+
+def test_chow_without_a_digit_limit(capsys, monkeypatch):
+    # Python 3.10.0-3.10.6 has no int-to-str digit limit to lift
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    assert run_cli(capsys, ["chow", "--p", "1", "--n", "2", "--d", "2", "--format", "csv"]) \
+        == (0, "method,value\nclosed,6\n", "")
 
 
 def test_cli_import_leaves_out_dataclasses():
