@@ -16,7 +16,7 @@ The ``chowchi`` command line tool exposes the same computations plus the
 cross-checking sweeps; see ``chowchi --help``.
 """
 
-from .binomials import binomial, binomial_signed
+from .binomials import binomial
 from .chow import (
     ChowParams,
     EulerValue,
@@ -43,7 +43,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "binomial",
-    "binomial_signed",
     "TruncatedSeries",
     "series_geom_pow",
     "series_mul",

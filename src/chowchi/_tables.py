@@ -7,8 +7,6 @@ no evaluation recurses and a cell is computed again only when a query needs
 it larger or its grower dropped it.
 """
 
-from __future__ import annotations
-
 import threading
 from collections.abc import Callable
 

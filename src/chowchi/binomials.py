@@ -1,4 +1,4 @@
-"""Exact binomial coefficients with the package's conventions.
+"""Exact binomials C(n, k), n >= 0; the signed coefficient is ``sp_euler``.
 
 Everything here is plain Python ``int`` arithmetic, which is arbitrary
 precision, so no count computed by this package is ever rounded.
@@ -15,13 +15,11 @@ window.  The gate compares ``k`` first, so the small binomials of the
 recursions and sweeps pay one comparison for it.
 """
 
-from __future__ import annotations
-
 import math
 from itertools import compress
 from operator import mul
 
-__all__ = ["binomial", "binomial_signed"]
+__all__ = ["binomial"]
 
 # From here the window method is at least as fast as ``math.comb`` for n up
 # to about 2^64 and ties it (0.93-1.04x) at 2^128; below it ``math.comb`` is
@@ -83,28 +81,3 @@ def _primes_upto(m: int):
             sieve[p * p::p] = bytes(len(range(p * p, m + 1, p)))
     return compress(range(m + 1), sieve)
 
-
-def binomial_signed(a: int, k: int) -> int:
-    """Generalized binomial C(a + k - 1, k): the coefficient of t^k in (1-t)^(-a).
-
-    Defined for every integer ``a`` as the rising-factorial quotient
-    a (a+1) ... (a+k-1) / k!, so that symmetric-product counts stay defined
-    for spaces whose Euler characteristic is zero or negative.  For a > 0 it
-    is ``binomial(a + k - 1, k)``; for a <= 0 the reflection
-    C(a + k - 1, k) = (-1)^k C(-a, k) reduces it to ``binomial`` as well.
-
-    >>> binomial_signed(0, 3)
-    0
-    >>> binomial_signed(0, 0)
-    1
-    >>> binomial_signed(-2, 2)    # (1-t)^2 = 1 - 2t + t^2
-    1
-    >>> binomial_signed(3, 4) == binomial(6, 4)
-    True
-    """
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    if a > 0:
-        return binomial(a + k - 1, k)
-    c = binomial(-a, k)
-    return -c if k & 1 else c

@@ -29,10 +29,8 @@ it.  ``cache_clear()`` on a table empties it.  The 0-cycle point recursion
 keeps no state: it is n running sums, recomputed per call.
 """
 
-from __future__ import annotations
-
 from itertools import accumulate
-from operator import mul
+from operator import index, mul
 
 from . import _tables
 from ._record import Record, field_setters
@@ -42,9 +40,6 @@ from .series import TruncatedSeries, series_coefficient, series_geom_pow, series
 __all__ = [
     "ChowParams",
     "EulerValue",
-    "METHOD_CLOSED",
-    "METHOD_RECURSIVE",
-    "METHOD_SERIES",
     "SERIES_CLOSED",
     "SERIES_FUNCTIONAL",
     "v_pn",
@@ -55,10 +50,6 @@ __all__ = [
     "chow_series",
     "divisor_check",
 ]
-
-METHOD_CLOSED = "closed"
-METHOD_RECURSIVE = "recursive"
-METHOD_SERIES = "series"
 
 SERIES_CLOSED = "closed"
 SERIES_FUNCTIONAL = "functional"
@@ -80,6 +71,7 @@ class ChowParams(Record):
     d: int
 
     def __init__(self, p: int, n: int, d: int):
+        p, n, d = index(p), index(n), index(d)
         if not 0 <= p <= n:
             raise ValueError(f"require 0 <= p <= n, got p={p}, n={n}")
         if d < 0:
@@ -135,7 +127,7 @@ def chow_euler_closed(params: ChowParams) -> EulerValue:
     1
     """
     chi = binomial(v_pn(params.p, params.n) + params.d - 1, params.d)
-    return EulerValue(chi, METHOD_CLOSED)
+    return EulerValue(chi, "closed")
 
 
 def _grow_suspension(rows: dict, a: int, b: int, length: int) -> None:
@@ -177,7 +169,7 @@ def chow_euler_recursive(params: ChowParams) -> EulerValue:
     1
     """
     row = _SUSPENSION.cell(params.p, params.n - params.p, params.d + 1)
-    return EulerValue(row[params.d], METHOD_RECURSIVE)
+    return EulerValue(row[params.d], "recursive")
 
 
 def points_euler_recursive(n: int, d: int) -> int:
@@ -248,6 +240,7 @@ def chow_series(p: int, n: int, order: int, method: str = SERIES_CLOSED) -> Trun
     >>> chow_series(1, 2, 2, method="functional").coeffs
     (1, 3, 6)
     """
+    p, n = index(p), index(n)
     if not 0 <= p <= n:
         raise ValueError(f"require 0 <= p <= n, got p={p}, n={n}")
     if order < 0:
@@ -270,7 +263,7 @@ def chow_euler_series(params: ChowParams) -> EulerValue:
     21
     """
     s = chow_series(params.p, params.n, params.d, SERIES_FUNCTIONAL)
-    return EulerValue(series_coefficient(s, params.d), METHOD_SERIES)
+    return EulerValue(series_coefficient(s, params.d), "series")
 
 
 def divisor_check(p: int, d: int) -> int:

@@ -17,8 +17,6 @@ leaves the garbage collector alone.  The process entry, ``chowchi.__main__``,
 calls it once and freezes the heap before the interpreter exits.
 """
 
-from __future__ import annotations
-
 import argparse
 import contextlib
 import json
@@ -76,12 +74,12 @@ def _routes(query: dict, results: list, note: str | None = None) -> tuple:
 
 def _cmd_chow(args) -> tuple:
     params = ChowParams(args.p, args.n, args.d)
-    methods = ["closed", "recursive", "series"] if args.method == "all" else [args.method]
     compute = {
         "closed": chow_euler_closed,
         "recursive": chow_euler_recursive,
         "series": chow_euler_series,
     }
+    methods = list(compute) if args.method == "all" else [args.method]
     results = [(m, str(compute[m](params).chi)) for m in methods]
     query = _query("chow", p=args.p, n=args.n, d=args.d, method=args.method)
     return _routes(query, results)

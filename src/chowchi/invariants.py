@@ -9,10 +9,10 @@ of a disjoint pair of projective spaces for p = 0, and pairs of eigenspace
 Grassmannians for d = 1.
 """
 
-from __future__ import annotations
+from operator import index
 
 from ._record import Record, field_setters
-from .binomials import binomial, binomial_signed
+from .binomials import binomial
 from .chow import ChowParams, chow_euler_closed
 
 __all__ = [
@@ -38,6 +38,7 @@ class QuaternionicParams(Record):
     d: int
 
     def __init__(self, p: int, n: int, d: int):
+        p, n, d = index(p), index(n), index(d)
         if n < 1:
             raise ValueError(f"quaternionic dimension must be >= 1, got n={n}")
         if not 0 <= p <= 2 * n - 1:
@@ -137,17 +138,21 @@ def sp_euler(chi: int, d: int) -> int:
     """chi of the d-fold symmetric product of a space with Euler characteristic chi.
 
     By the Macdonald formula this is the coefficient of t^d in (1-t)^(-chi),
-    i.e. the generalized binomial C(chi + d - 1, d); it is defined for zero
-    and negative chi as well.  SP^0 of anything is a point.
+    the generalized binomial C(chi + d - 1, d), for every integer chi: for
+    chi <= 0 the reflection (-1)^d C(-chi, d).  SP^0 of anything is a point.
 
     >>> sp_euler(0, 4)
     0
+    >>> sp_euler(0, 0)
+    1
     >>> sp_euler(3, 2)     # SP^2 of the projective plane
     6
-    >>> sp_euler(-2, 2)
+    >>> sp_euler(-2, 2)    # (1-t)^2 = 1 - 2t + t^2
     1
     """
     if d < 0:
         raise ValueError(f"d must be nonnegative, got {d}")
-    return binomial_signed(chi, d)
-
+    if chi > 0:
+        return binomial(chi + d - 1, d)
+    c = binomial(-chi, d)
+    return -c if d & 1 else c

@@ -3,12 +3,10 @@
 A series is a coefficient vector c_0 .. c_N together with its explicit
 truncation order N; all arithmetic happens modulo t^(N+1).  Mixing orders is
 rejected rather than silently re-truncated, so coefficient comparisons stay
-unambiguous.  Values are immutable and safe to share.
+unambiguous.  Values are immutable, safe to share and never hold a float.
 """
 
-from __future__ import annotations
-
-from operator import mul
+from operator import index, mul
 
 from ._record import Record, field_setters
 
@@ -35,14 +33,14 @@ class TruncatedSeries(Record):
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs):
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = tuple(map(index, coeffs))
         if not coeffs:
             raise ValueError("a series carries at least its constant coefficient")
         _set_coeffs(self, coeffs)
 
     @classmethod
-    def _trusted(cls, coeffs: tuple[int, ...]) -> TruncatedSeries:
-        # A nonempty int tuple the package has just built: no coercion.
+    def _trusted(cls, coeffs: tuple[int, ...]) -> "TruncatedSeries":
+        # A nonempty int tuple the package has just built: no check.
         s = object.__new__(cls)
         _set_coeffs(s, coeffs)
         return s
@@ -72,6 +70,7 @@ def series_geom_pow(m: int, order: int) -> TruncatedSeries:
     >>> series_geom_pow(6, 2).coeffs
     (1, 6, 21)
     """
+    m = index(m)
     if m < 0:
         raise ValueError(f"exponent must be nonnegative, got {m}")
     if order < 0:

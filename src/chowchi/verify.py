@@ -9,12 +9,10 @@ the CLI surfaces it as ``chowchi verify``.  The sweep sizes are chosen so
 the full run finishes in seconds.
 """
 
-from __future__ import annotations
-
 import time
 
 from ._record import Record
-from .binomials import binomial, binomial_signed
+from .binomials import binomial
 from .chow import (
     ChowParams,
     SERIES_CLOSED,
@@ -154,8 +152,8 @@ def _series(max_p: int, max_n: int, max_d: int, order: int):
     Geometric-power additivity against the Cauchy product; the generating
     function's factorization Q_{p+1,n+1} = Q_{p+1,n} * Q_{p,n} on closed
     series; each functional series, which its table builds by that product,
-    against the closed series of the same (p + 1, n + 1); and the signed
-    binomial against geometric-series coefficients.
+    against the closed series of the same (p + 1, n + 1); and ``sp_euler``,
+    the signed binomial, against geometric-series coefficients.
     """
     geom = [series_geom_pow(m, order) for m in range(2 * _MAX_POW + 1)]
     for a in range(_MAX_POW + 1):
@@ -185,7 +183,7 @@ def _series(max_p: int, max_n: int, max_d: int, order: int):
         for d in range(order + 1):
             yield ({"check": "signed-binomial-vs-series", "m": m, "d": d},
                    "series", series_coefficient(geom[m], d),
-                   "signed-binomial", binomial_signed(m, d))
+                   "signed-binomial", sp_euler(m, d))
 
 
 def _quaternionic(max_p: int, max_n: int, max_d: int, order: int):

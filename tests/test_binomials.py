@@ -1,4 +1,4 @@
-"""Exact binomials and the signed generalization."""
+"""Exact binomials and the signed generalization ``sp_euler``."""
 
 import math
 
@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chowchi import binomials
-from chowchi.binomials import binomial, binomial_signed
+from chowchi.binomials import binomial
+from chowchi.invariants import sp_euler
 
 from oracles import expand_inv_one_minus_t
 
@@ -83,21 +84,21 @@ def test_vandermonde_convolution():
 
 
 def test_signed_examples():
-    assert binomial_signed(0, 3) == 0
-    assert binomial_signed(0, 0) == 1
-    assert binomial_signed(-2, 2) == 1
-    assert binomial_signed(-2, 1) == -2
+    assert sp_euler(0, 3) == 0
+    assert sp_euler(0, 0) == 1
+    assert sp_euler(-2, 2) == 1
+    assert sp_euler(-2, 1) == -2
 
 
 def test_signed_agrees_with_binomial_for_positive_a():
     for a in range(1, 17):
         for k in range(17):
-            assert binomial_signed(a, k) == binomial(a + k - 1, k)
+            assert sp_euler(a, k) == binomial(a + k - 1, k)
 
 
 def test_signed_negative_k_rejected():
     with pytest.raises(ValueError):
-        binomial_signed(3, -1)
+        sp_euler(3, -1)
 
 
 def test_signed_matches_explicit_series_expansion():
@@ -106,5 +107,5 @@ def test_signed_matches_explicit_series_expansion():
     for a in range(-8, 9):
         coeffs = expand_inv_one_minus_t(a, 16)
         for k in range(17):
-            assert binomial_signed(a, k) == coeffs[k], (a, k)
+            assert sp_euler(a, k) == coeffs[k], (a, k)
 

@@ -30,6 +30,11 @@ def test_params_validation():
         ChowParams(-1, 3, 0)
     with pytest.raises(ValueError, match="^degree must be nonnegative, got d=-1$"):
         ChowParams(p=1, n=3, d=-1)
+    # integers only: a float field would reach some routes and not others
+    for args in ((2, 2.0, 3), (1.0, 2, 3), (1, 2, 3.0), ("1", 2, 3)):
+        with pytest.raises(TypeError):
+            ChowParams(*args)
+    assert repr(ChowParams(True, 2, 3)) == "ChowParams(p=1, n=2, d=3)"
 
 
 def test_v_pn_values():
@@ -98,6 +103,11 @@ def test_series_rejects_bad_arguments():
         chow_series(1, 2, -1)
     with pytest.raises(ValueError):
         chow_series(1, 2, 4, method="magic")
+    for method in ("closed", "functional"):
+        with pytest.raises(TypeError):
+            chow_series(1, 2.0, 3, method)
+        with pytest.raises(TypeError):
+            chow_series(1.0, 2, 3, method)
 
 
 def test_series_methods_agree():

@@ -391,7 +391,7 @@ def test_cli_import_leaves_out_dataclasses():
     # every CLI process pays for what importing the CLI imports; -S skips
     # site, which may load typing on its own
     code = ("import sys; before = set(sys.modules); import chowchi.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'typing'}"
+            "print(sorted({'__future__', 'dataclasses', 'inspect', 'typing'}"
             " & (set(sys.modules) - before)))")
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                           text=True, check=True, env=child_env())

@@ -27,6 +27,9 @@ def test_quaternionic_params_validation():
         QuaternionicParams(-1, 2, 0)
     with pytest.raises(ValueError, match="^degree must be nonnegative, got d=-1$"):
         QuaternionicParams(p=1, n=2, d=-1)
+    for args in ((1, 2.0, 3), (1.0, 2, 3), (1, 2, 3.0)):
+        with pytest.raises(TypeError):
+            QuaternionicParams(*args)
 
 
 def test_g_invariant_examples():
@@ -91,6 +94,8 @@ def test_d1_oracle_rejects_bad_range():
         quaternionic_d1_oracle(2, 1)
     with pytest.raises(ValueError):
         quaternionic_d1_oracle(-1, 1)
+    with pytest.raises(ValueError, match="^require n >= 1, got n=0$"):
+        quaternionic_d1_oracle(0, 0)
 
 
 def test_d1_oracle_is_vandermonde():

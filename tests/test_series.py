@@ -6,9 +6,8 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from chowchi.binomials import binomial_signed
 from chowchi.chow import ChowParams, EulerValue
-from chowchi.invariants import QuaternionicParams
+from chowchi.invariants import QuaternionicParams, sp_euler
 from chowchi.series import (
     TruncatedSeries,
     series_coefficient,
@@ -21,8 +20,12 @@ def test_order_and_coefficients():
     s = TruncatedSeries([1, 2, 3])
     assert s.order == 2
     assert s.coeffs == (1, 2, 3)
-    # the public constructor coerces; only the package's own tuples skip it
-    assert [type(c) for c in TruncatedSeries((True, 2.0)).coeffs] == [int, int]
+    # the public constructor takes integers only, through __index__, and
+    # stores plain ints; only the package's own tuples skip the check
+    assert [type(c) for c in TruncatedSeries((True, 2)).coeffs] == [int, int]
+    for bad in (2.0, 0.9, "3"):
+        with pytest.raises(TypeError):
+            TruncatedSeries([1, bad])
 
 
 def test_empty_coefficients_rejected():
@@ -80,6 +83,13 @@ def test_geom_pow_examples():
     assert series_geom_pow(6, 2).coeffs == (1, 6, 21)
 
 
+def test_geom_pow_rejects_a_float_exponent():
+    # 2.5 would give (1, 2.0, 3.0, 4.0), equal to the series for m = 2
+    for m in (2.5, 2.0):
+        with pytest.raises(TypeError):
+            series_geom_pow(m, 3)
+
+
 def test_geom_pow_rejects_negative_arguments():
     with pytest.raises(ValueError):
         series_geom_pow(-1, 3)
@@ -127,7 +137,7 @@ def test_geom_pow_coefficients_are_signed_binomials():
     for m in range(17):
         s = series_geom_pow(m, 20)
         for d in range(21):
-            assert series_coefficient(s, d) == binomial_signed(m, d)
+            assert series_coefficient(s, d) == sp_euler(m, d)
     # the ratio recurrence at the edges m = 0, 1 and at a huge exponent
     for m in (0, 1, math.comb(60, 30)):
         expected = [1] + [math.comb(m + d - 1, d) for d in range(1, 61)]
