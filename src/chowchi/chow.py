@@ -208,8 +208,8 @@ def _grow_functional(cells: dict, a: int, b: int, size: int) -> None:
     elif b == 0:
         s = series_geom_pow(1, order)       # Q_{q,q} = 1/(1-t)
     else:
-        s = series_mul(TruncatedSeries._trusted(cells[a, b - 1][:size]),
-                       TruncatedSeries._trusted(cells[a - 1, b][:size]))
+        s = series_mul(TruncatedSeries(cells[a, b - 1][:size]),
+                       TruncatedSeries(cells[a - 1, b][:size]))
     cells[a, b] = s.coeffs
     # A cell is read only to grow (x, y + 1) and (x + 1, y), and each is
     # rebuilt whole, so it goes once both hold at least as many entries: a
@@ -249,7 +249,7 @@ def chow_series(p: int, n: int, order: int, method: str = SERIES_CLOSED) -> Trun
         return series_geom_pow(v_pn(p, n), order)
     if method == SERIES_FUNCTIONAL:
         coeffs = _FUNCTIONAL.cell(p, n - p, order + 1)
-        return TruncatedSeries._trusted(coeffs[:order + 1])
+        return TruncatedSeries(coeffs[:order + 1])
     raise ValueError(f"unknown series method {method!r}")
 
 
@@ -271,8 +271,8 @@ def divisor_check(p: int, d: int) -> int:
 
     Degree-d hypersurfaces in P^{p+1} form a projective space of dimension
     C(p+d+1, d) - 1 (one homogeneous coordinate per degree-d monomial in
-    p + 2 variables), whence the count.  Callers may assert equality with
-    ``chow_euler_closed`` on (p, p+1, d).
+    p + 2 variables), whence the count.  ``verify`` compares it with the
+    suspension recursion on (p, p+1, d).
 
     >>> divisor_check(1, 2)    # conics in the plane form a P^5
     6

@@ -18,7 +18,6 @@ calls it once and freezes the heap before the interpreter exits.
 """
 
 import argparse
-import contextlib
 import json
 import os
 import sys
@@ -38,7 +37,7 @@ from .invariants import (
     quaternionic_euler_closed,
     quaternionic_p0_oracle,
 )
-from .verify import SUITE_NAMES, run_suite
+from .verify import SUITE_NAMES, _unlimited_int_digits, run_suite
 
 __all__ = ["main", "build_parser", "EXIT_BROKEN_PIPE", "EXIT_INTERNAL_ERROR"]
 
@@ -195,26 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.set_defaults(func=_cmd_table)
 
     return parser
-
-
-@contextlib.contextmanager
-def _unlimited_int_digits():
-    """Lift Python's int-to-str digit limit (CVE-2020-10735) for one command.
-
-    Counts of any size must render as decimal strings.  The limit is
-    process-wide, so the caller's value is restored afterwards instead of
-    being changed at import.
-    """
-    get_limit = getattr(sys, "get_int_max_str_digits", None)
-    if get_limit is None:       # an interpreter without the limit
-        yield
-        return
-    limit = get_limit()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 def main(argv: list[str] | None = None) -> int:

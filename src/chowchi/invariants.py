@@ -13,7 +13,7 @@ from operator import index
 
 from ._record import Record, field_setters
 from .binomials import binomial
-from .chow import ChowParams, chow_euler_closed
+from .chow import ChowParams, v_pn
 
 __all__ = [
     "QuaternionicParams",
@@ -57,11 +57,12 @@ def g_invariant_euler(params: ChowParams) -> int:
     """chi of the locus of cycles in C_{p,d}(P^n) fixed by a diagonalizable
     linear group action.
 
-    The count C(v + d - 1, d) does not depend on which diagonalizable group
-    acts and coincides with the unconstrained value, so it is read from
-    ``chow_euler_closed``.  Diagonalizability is a caller obligation; the
-    representation itself is not modeled.  The count also satisfies the same
-    suspension recursion as the plain cycle spaces, which
+    The count does not depend on which diagonalizable group acts: it is
+    ``sp_euler(v, d)``, the number of degree-d multisets of the
+    v = C(n+1, p+1) torus-fixed coordinate p-planes, which is the
+    unconstrained value C(v + d - 1, d).  Diagonalizability is a caller
+    obligation; the representation itself is not modeled.  The count also
+    satisfies the same suspension recursion as the plain cycle spaces, which
     ``chow_euler_recursive`` exercises.
 
     >>> g_invariant_euler(ChowParams(0, 1, 2))
@@ -69,7 +70,7 @@ def g_invariant_euler(params: ChowParams) -> int:
     >>> g_invariant_euler(ChowParams(2, 2, 9))
     1
     """
-    return chow_euler_closed(params).chi
+    return sp_euler(v_pn(params.p, params.n), params.d)
 
 
 def quaternionic_euler_closed(params: QuaternionicParams) -> int:
@@ -77,14 +78,15 @@ def quaternionic_euler_closed(params: QuaternionicParams) -> int:
 
     Equal to chi(C_{p,d}(P^{2n-1})): the involution is induced by a
     diagonalizable linear map, so fixing by it does not change the count,
-    which is read from ``chow_euler_closed`` on that ambient space.
+    which is ``sp_euler(v, d)`` with v = C(2n, p+1) the number of
+    torus-fixed p-planes of that ambient space.
 
     >>> quaternionic_euler_closed(QuaternionicParams(0, 1, 2))
     3
     >>> quaternionic_euler_closed(QuaternionicParams(1, 1, 5))
     1
     """
-    return chow_euler_closed(ChowParams(params.p, 2 * params.n - 1, params.d)).chi
+    return sp_euler(v_pn(params.p, 2 * params.n - 1), params.d)
 
 
 def quaternionic_p0_oracle(n: int, d: int) -> int:

@@ -22,6 +22,9 @@ class TruncatedSeries(Record):
     """Coefficients c_0 .. c_order of a formal power series in t.
 
     Equality is coefficientwise and holds only between series of equal order.
+    Every series, the package's own included, is built here: each coefficient
+    goes through ``operator.index``, so a float is refused, and an empty
+    vector is a ``ValueError``.
 
     >>> TruncatedSeries([1, 2, 3]).order
     2
@@ -37,13 +40,6 @@ class TruncatedSeries(Record):
         if not coeffs:
             raise ValueError("a series carries at least its constant coefficient")
         _set_coeffs(self, coeffs)
-
-    @classmethod
-    def _trusted(cls, coeffs: tuple[int, ...]) -> "TruncatedSeries":
-        # A nonempty int tuple the package has just built: no check.
-        s = object.__new__(cls)
-        _set_coeffs(s, coeffs)
-        return s
 
     @property
     def order(self) -> int:
@@ -78,7 +74,7 @@ def series_geom_pow(m: int, order: int) -> TruncatedSeries:
     coeffs = [1]
     for d in range(1, order + 1):
         coeffs.append(coeffs[-1] * (m + d - 1) // d)
-    return TruncatedSeries._trusted(tuple(coeffs))
+    return TruncatedSeries(coeffs)
 
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -92,8 +88,7 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
         raise ValueError(f"series order mismatch: {a.order} != {b.order}")
     # rb[n - d:] is cb[d], ..., cb[0]; map stops at the shorter operand
     n, ca, rb = a.order, a.coeffs, b.coeffs[::-1]
-    return TruncatedSeries._trusted(
-        tuple([sum(map(mul, ca, rb[n - d:])) for d in range(n + 1)]))
+    return TruncatedSeries([sum(map(mul, ca, rb[n - d:])) for d in range(n + 1)])
 
 
 def series_coefficient(s: TruncatedSeries, d: int) -> int:

@@ -9,6 +9,8 @@ the CLI surfaces it as ``chowchi verify``.  The sweep sizes are chosen so
 the full run finishes in seconds.
 """
 
+import contextlib
+import sys
 import time
 
 from ._record import Record
@@ -36,6 +38,26 @@ from .series import series_coefficient, series_geom_pow, series_mul
 __all__ = ["VerificationReport", "SUITE_NAMES", "run_suite"]
 
 SUITE_NAMES = ("recursion", "series", "quaternionic", "base-cases", "all")
+
+
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift Python's int-to-str digit limit (CVE-2020-10735) for one block.
+
+    Counts of any size must render as decimal strings.  The limit is
+    process-wide, so the caller's value is restored afterwards instead of
+    being changed at import.
+    """
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:       # an interpreter without the limit
+        yield
+        return
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class VerificationReport(Record):
@@ -75,11 +97,12 @@ class VerificationReport(Record):
         """Count one comparison; a mismatch is kept as the entry it prints as."""
         self.cases_run += 1
         if expected != actual:
-            self.failures.append({
-                "inputs": {k: str(v) for k, v in inputs.items()},
-                "expected": {"path": expected_path, "value": str(expected)},
-                "actual": {"path": actual_path, "value": str(actual)},
-            })
+            with _unlimited_int_digits():
+                self.failures.append({
+                    "inputs": {k: str(v) for k, v in inputs.items()},
+                    "expected": {"path": expected_path, "value": str(expected)},
+                    "actual": {"path": actual_path, "value": str(actual)},
+                })
 
     def to_json_dict(self) -> dict[str, object]:
         """JSON-ready dict; every numeric field is a decimal string."""
@@ -95,7 +118,7 @@ class VerificationReport(Record):
 _MAX_POW = 16
 
 
-def _recursion(max_p: int, max_n: int, max_d: int, order: int):
+def _recursion(check, max_p: int, max_n: int, max_d: int, order: int):
     """Path agreement for chi(C_{p,d}(P^n)), plus the related identities.
 
     Checks, over p <= min(max_p, n), n <= max_n, d <= max_d: recursion and
@@ -113,40 +136,40 @@ def _recursion(max_p: int, max_n: int, max_d: int, order: int):
             for d in range(max_d + 1):
                 params = ChowParams(p, n, d)
                 closed = chow_euler_closed(params).chi
-                yield ({"check": "recursive-vs-closed", "p": p, "n": n, "d": d},
-                       "closed", closed,
-                       "recursive", chow_euler_recursive(params).chi)
-                yield ({"check": "series-vs-closed", "p": p, "n": n, "d": d},
-                       "closed", closed,
-                       "series", series_coefficient(q, d))
+                check({"check": "recursive-vs-closed", "p": p, "n": n, "d": d},
+                      "closed", closed,
+                      "recursive", chow_euler_recursive(params).chi)
+                check({"check": "series-vs-closed", "p": p, "n": n, "d": d},
+                      "closed", closed,
+                      "series", series_coefficient(q, d))
                 must_be_one = p == n or d == 0
-                yield ({"check": "positivity", "p": p, "n": n, "d": d},
-                       "invariant", True,
-                       "closed", closed >= 1 and (closed == 1) == must_be_one)
+                check({"check": "positivity", "p": p, "n": n, "d": d},
+                      "invariant", True,
+                      "closed", closed >= 1 and (closed == 1) == must_be_one)
     for n in range(1, max_n + 1):
         for p in range(n):
-            yield ({"check": "pascal-at-degree-one", "p": p, "n": n},
-                   "pascal-sum", binomial(n + 1, p + 1) + binomial(n + 1, p + 2),
-                   "recursive", chow_euler_recursive(ChowParams(p + 1, n + 1, 1)).chi)
+            check({"check": "pascal-at-degree-one", "p": p, "n": n},
+                  "pascal-sum", binomial(n + 1, p + 1) + binomial(n + 1, p + 2),
+                  "recursive", chow_euler_recursive(ChowParams(p + 1, n + 1, 1)).chi)
     for p in range(max_n):
         # the suspension row b = 1, grown to max_d once
         chow_euler_recursive(ChowParams(p, p + 1, max_d))
         for d in range(max_d + 1):
-            yield ({"check": "divisor-space", "p": p, "d": d},
-                   "monomial-count", divisor_check(p, d),
-                   "recursive", chow_euler_recursive(ChowParams(p, p + 1, d)).chi)
+            check({"check": "divisor-space", "p": p, "d": d},
+                  "monomial-count", divisor_check(p, d),
+                  "recursive", chow_euler_recursive(ChowParams(p, p + 1, d)).chi)
 
 
-def _base_cases(max_p: int, max_n: int, max_d: int, order: int):
+def _base_cases(check, max_p: int, max_n: int, max_d: int, order: int):
     """The 0-cycle base case: inner point recursion against C(n+d, d)."""
     for n in range(max_n + 1):
         for d in range(max_d + 1):
-            yield ({"check": "points-recursion", "n": n, "d": d},
-                   "binomial", binomial(n + d, d),
-                   "points-recursive", points_euler_recursive(n, d))
+            check({"check": "points-recursion", "n": n, "d": d},
+                  "binomial", binomial(n + d, d),
+                  "points-recursive", points_euler_recursive(n, d))
 
 
-def _series(max_p: int, max_n: int, max_d: int, order: int):
+def _series(check, max_p: int, max_n: int, max_d: int, order: int):
     """Series-level identities.
 
     Geometric-power additivity against the Cauchy product; the generating
@@ -158,35 +181,35 @@ def _series(max_p: int, max_n: int, max_d: int, order: int):
     geom = [series_geom_pow(m, order) for m in range(2 * _MAX_POW + 1)]
     for a in range(_MAX_POW + 1):
         for b in range(_MAX_POW + 1):
-            yield ({"check": "geom-pow-additivity", "a": a, "b": b, "order": order},
-                   "direct", geom[a + b].coeffs,
-                   "product", series_mul(geom[a], geom[b]).coeffs)
+            check({"check": "geom-pow-additivity", "a": a, "b": b, "order": order},
+                  "direct", geom[a + b].coeffs,
+                  "product", series_mul(geom[a], geom[b]).coeffs)
     # Q_{p,n} for every p, one ambient dimension at a time: each series is
     # built once and only two dimensions are held
     row = [chow_series(p, 1, order) for p in range(2)]
     for n in range(1, max_n + 1):
         up = [chow_series(p, n + 1, order) for p in range(n + 2)]
         for p in range(n):
-            yield ({"check": "series-factorization", "p": p, "n": n,
-                    "order": order, "method": SERIES_CLOSED},
-                   "direct", up[p + 1].coeffs,
-                   "product", series_mul(row[p + 1], row[p]).coeffs)
+            check({"check": "series-factorization", "p": p, "n": n,
+                   "order": order, "method": SERIES_CLOSED},
+                  "direct", up[p + 1].coeffs,
+                  "product", series_mul(row[p + 1], row[p]).coeffs)
         row = up
     for n in range(1, max_n + 1):
         for p in range(n):
-            yield ({"check": "series-factorization", "p": p, "n": n,
-                    "order": order, "method": SERIES_FUNCTIONAL},
-                   "closed-series", chow_series(p + 1, n + 1, order).coeffs,
-                   "functional",
-                   chow_series(p + 1, n + 1, order, SERIES_FUNCTIONAL).coeffs)
+            check({"check": "series-factorization", "p": p, "n": n,
+                   "order": order, "method": SERIES_FUNCTIONAL},
+                  "closed-series", chow_series(p + 1, n + 1, order).coeffs,
+                  "functional",
+                  chow_series(p + 1, n + 1, order, SERIES_FUNCTIONAL).coeffs)
     for m in range(_MAX_POW + 1):
         for d in range(order + 1):
-            yield ({"check": "signed-binomial-vs-series", "m": m, "d": d},
-                   "series", series_coefficient(geom[m], d),
-                   "signed-binomial", sp_euler(m, d))
+            check({"check": "signed-binomial-vs-series", "m": m, "d": d},
+                  "series", series_coefficient(geom[m], d),
+                  "signed-binomial", sp_euler(m, d))
 
 
-def _quaternionic(max_p: int, max_n: int, max_d: int, order: int):
+def _quaternionic(check, max_p: int, max_n: int, max_d: int, order: int):
     """Invariant-cycle identities.
 
     The two quaternionic decomposition oracles against the closed form; the
@@ -199,39 +222,39 @@ def _quaternionic(max_p: int, max_n: int, max_d: int, order: int):
     """
     for n in range(1, max_n + 1):
         for d in range(max_d + 1):
-            yield ({"check": "p0-oracle", "n": n, "d": d},
-                   "closed", quaternionic_euler_closed(QuaternionicParams(0, n, d)),
-                   "oracle-p0", quaternionic_p0_oracle(n, d))
+            check({"check": "p0-oracle", "n": n, "d": d},
+                  "closed", quaternionic_euler_closed(QuaternionicParams(0, n, d)),
+                  "oracle-p0", quaternionic_p0_oracle(n, d))
         for p in range(2 * n):
             d1 = quaternionic_d1_oracle(p, n)
-            yield ({"check": "d1-oracle", "p": p, "n": n},
-                   "closed", quaternionic_euler_closed(QuaternionicParams(p, n, 1)),
-                   "oracle-d1", d1)
-            yield ({"check": "d1-vandermonde", "p": p, "n": n},
-                   "binomial", binomial(2 * n, p + 1),
-                   "oracle-d1", d1)
+            check({"check": "d1-oracle", "p": p, "n": n},
+                  "closed", quaternionic_euler_closed(QuaternionicParams(p, n, 1)),
+                  "oracle-d1", d1)
+            check({"check": "d1-vandermonde", "p": p, "n": n},
+                  "binomial", binomial(2 * n, p + 1),
+                  "oracle-d1", d1)
             ambient = chow_series(p, 2 * n - 1, max_d).coeffs
             for d in range(max_d + 1):
-                yield ({"check": "ambient-match", "p": p, "n": n, "d": d},
-                       "closed-series", ambient[d],
-                       "quaternionic-closed",
-                       quaternionic_euler_closed(QuaternionicParams(p, n, d)))
+                check({"check": "ambient-match", "p": p, "n": n, "d": d},
+                      "closed-series", ambient[d],
+                      "quaternionic-closed",
+                      quaternionic_euler_closed(QuaternionicParams(p, n, d)))
     for n in range(max_n + 1):
         for p in range(n + 1):
             for d in range(max_d + 1):
                 params = ChowParams(p, n, d)
-                yield ({"check": "group-invariant-match", "p": p, "n": n, "d": d},
-                       "chow-closed", chow_euler_closed(params).chi,
-                       "group-invariant", g_invariant_euler(params))
+                check({"check": "group-invariant-match", "p": p, "n": n, "d": d},
+                      "chow-closed", chow_euler_closed(params).chi,
+                      "group-invariant", g_invariant_euler(params))
     for m in range(max(max_d, 20) + 1):
-        yield ({"check": "sp-of-chi-zero", "m": m},
-               "invariant", 1 if m == 0 else 0,
-               "sp-euler", sp_euler(0, m))
+        check({"check": "sp-of-chi-zero", "m": m},
+              "invariant", 1 if m == 0 else 0,
+              "sp-euler", sp_euler(0, m))
 
 
-# Each suite yields its cases and looks its routes up in this module's globals
-# as it runs, so a caller that rebinds a route here sees every call.  "all"
-# runs the suites in this order.
+# Each suite takes the report's ``check``, calls it once per case, and looks
+# its routes up in this module's globals as it runs, so a caller that rebinds
+# a route here sees every call.  "all" runs the suites in this order.
 _SUITES = {
     "recursion": _recursion,
     "base-cases": _base_cases,
@@ -262,11 +285,10 @@ def run_suite(
             f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     report = VerificationReport(name)
     t0 = time.perf_counter()
-    for suite, cases in _SUITES.items():
+    for suite, sweep in _SUITES.items():
         if name in (suite, "all"):
             start = len(report.failures)
-            for inputs, expected_path, expected, actual_path, actual in cases(*bounds):
-                report.check(inputs, expected_path, expected, actual_path, actual)
+            sweep(report.check, *bounds)
             if name == "all":   # the suite goes first in each failure's inputs
                 for entry in report.failures[start:]:
                     entry["inputs"] = {"suite": suite, **entry["inputs"]}

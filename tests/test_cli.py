@@ -581,3 +581,98 @@ def test_golden_mismatch_stdout(capsys, monkeypatch):
     argv, _ = GOLDEN["chow-json"]
     assert run_cli(capsys, argv) == (
         1, _CHOW_ALL_QUERY + _RESULTS_6 % ("recursive", "7", "series", "false"), "")
+
+
+# Exact stdout of every --help at 80 columns.
+HELP = {
+    "chowchi": """\
+usage: chowchi [-h] {chow,series,quaternionic,verify,table} ...
+
+Exact Euler characteristics of cycle spaces of projective space.
+
+positional arguments:
+  {chow,series,quaternionic,verify,table}
+    chow                chi(C_{p,d}(P^n)) for one parameter triple
+    series              coefficients of the generating function Q_{p,n}(t)
+    quaternionic        chi of the right quaternionic cycle space inside
+                        P^{2n-1}
+    verify              run a consistency sweep and emit a JSON report
+    table               degree table of chi(C_{p,d}(P^n)) for d = 0..max-d
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "chowchi chow": """\
+usage: chowchi chow [-h] --p P --n N --d D
+                    [--method {closed,recursive,series,all}]
+                    [--format {json,csv}]
+
+options:
+  -h, --help            show this help message and exit
+  --p P                 cycle dimension
+  --n N                 ambient projective dimension
+  --d D                 cycle degree
+  --method {closed,recursive,series,all}
+                        computation path, or all three with a match flag
+  --format {json,csv}
+""",
+    "chowchi series": """\
+usage: chowchi series [-h] --p P --n N --order ORDER
+                      [--method {closed,functional}] [--format {json,csv}]
+
+options:
+  -h, --help            show this help message and exit
+  --p P                 cycle dimension
+  --n N                 ambient projective dimension
+  --order ORDER         truncation degree
+  --method {closed,functional}
+                        direct expansion or functional-equation build
+  --format {json,csv}
+""",
+    "chowchi quaternionic": """\
+usage: chowchi quaternionic [-h] --p P --qn QN --d D [--oracle {none,auto}]
+                            [--format {json,csv}]
+
+options:
+  -h, --help            show this help message and exit
+  --p P                 cycle dimension
+  --qn QN               quaternionic dimension n (ambient space P^{2n-1})
+  --d D                 cycle degree
+  --oracle {none,auto}  also run the decomposition oracle when one applies
+  --format {json,csv}
+""",
+    "chowchi verify": """\
+usage: chowchi verify [-h]
+                      [--suite {recursion,series,quaternionic,base-cases,all}]
+                      [--max-p MAX_P] [--max-n MAX_N] [--max-d MAX_D]
+                      [--order ORDER]
+
+options:
+  -h, --help            show this help message and exit
+  --suite {recursion,series,quaternionic,base-cases,all}
+  --max-p MAX_P
+  --max-n MAX_N
+  --max-d MAX_D
+  --order ORDER
+""",
+    "chowchi table": """\
+usage: chowchi table [-h] --p P --n N --max-d MAX_D [--format {json,csv}]
+
+options:
+  -h, --help           show this help message and exit
+  --p P                cycle dimension
+  --n N                ambient projective dimension
+  --max-d MAX_D
+  --format {json,csv}
+""",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP))
+def test_golden_help_stdout(capsys, monkeypatch, command):
+    # argparse wraps help text to the terminal; pin one width
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as excinfo:
+        main(command.split()[1:] + ["--help"])
+    assert excinfo.value.code == 0
+    assert capsys.readouterr() == (HELP[command], "")

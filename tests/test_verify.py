@@ -2,6 +2,7 @@
 
 import importlib
 import pkgutil
+import sys
 import typing
 from collections import Counter
 
@@ -9,8 +10,8 @@ import pytest
 
 import chowchi
 import chowchi.verify as verify_mod
-from chowchi import _tables, chow
-from chowchi.chow import ChowParams, chow_euler_closed
+from chowchi import _tables, binomials, chow, cli, invariants
+from chowchi.chow import ChowParams, EulerValue, chow_euler_closed
 from chowchi.series import TruncatedSeries, series_mul
 from chowchi.verify import SUITE_NAMES, VerificationReport, run_suite
 
@@ -186,6 +187,25 @@ def test_ambient_match_catches_a_wrong_closed_series(monkeypatch):
     }]
 
 
+def test_huge_mismatch_renders_under_the_callers_digit_limit(monkeypatch):
+    # a library caller keeps the interpreter's int-to-str limit; a value past
+    # it must still be reported, and the caller's limit kept
+    monkeypatch.setattr(verify_mod, "chow_euler_recursive",
+                        lambda params: EulerValue(10**5000, "recursive"))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4321)
+    try:
+        failures = run_suite("recursion", 0, 0, 0, 0).failures
+        assert sys.get_int_max_str_digits() == 4321
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert failures == [{
+        "inputs": {"check": "recursive-vs-closed", "p": "0", "n": "0", "d": "0"},
+        "expected": {"path": "closed", "value": "1"},
+        "actual": {"path": "recursive", "value": "1" + "0" * 5000},
+    }]
+
+
 def test_base_cases_catch_a_lying_point_recursion(monkeypatch):
     honest = verify_mod.points_euler_recursive
 
@@ -276,3 +296,15 @@ def test_every_export_resolves():
     namespace = {}
     exec("from chowchi import *", namespace)
     assert set(chowchi.__all__) <= set(namespace)
+    # the benchmark loads these four modules, calls every callable
+    # ``cache_clear`` it finds in them with no arguments, and reads these names
+    for module in (binomials, chow, cli, invariants):
+        for value in list(vars(module).values()):
+            clear = getattr(value, "cache_clear", None)
+            if callable(clear):
+                clear()
+    for module, name in [
+            (chow, "SERIES_FUNCTIONAL"), (chow, "ChowParams"),
+            (invariants, "QuaternionicParams"), (invariants, "quaternionic_euler_closed"),
+            (invariants, "sp_euler"), (cli, "build_parser"), (cli, "main")]:
+        assert hasattr(module, name), f"{module.__name__}.{name}"
