@@ -25,14 +25,16 @@ in dependency order, so no result depends on Python's recursion limit.  A
 time.  The recursive table keeps every row, so a later query inside a grown
 box is one lookup; the functional table keeps only the top row and right
 column of a box, and rebuilds the inside from them when a later query needs
-it.  ``cache_clear()`` on a table empties it.  The 0-cycle point recursion
+it.  As with ``functools.lru_cache``, ``chow_euler_recursive.cache_clear()``
+and ``chow_series.cache_clear()`` empty them.  The 0-cycle point recursion
 keeps no state: it is n running sums, recomputed per call.
 """
 
+import threading
+from collections.abc import Callable
 from itertools import accumulate
 from operator import index, mul
 
-from . import _tables
 from ._record import Record, field_setters
 from .binomials import binomial
 from .series import TruncatedSeries, series_coefficient, series_geom_pow, series_mul
@@ -130,6 +132,49 @@ def chow_euler_closed(params: ChowParams) -> EulerValue:
     return EulerValue(chi, "closed")
 
 
+# Both tables are dicts of cells (a, b) = (p, n - p), a, b >= 0.  An inner
+# cell, with a and b both positive, draws on (a, b - 1) and (a - 1, b); an
+# edge cell draws on none.  One lock guards growth and clearing of both; it
+# cannot deadlock, since neither grower reads the other table.
+_LOCK = threading.Lock()
+
+
+def _cell(cells: dict, grow: Callable[[dict, int, int, int], None],
+          a: int, b: int, need: int) -> object:
+    """Cell (a, b) of ``cells`` holding at least ``need`` entries.
+
+    ``grow(cells, a, b, need)`` brings one cell to ``need`` entries once its
+    inner neighbours hold as many, and may drop cells it no longer needs.
+    The walk back from (a, b) through the inner neighbours stops at cells
+    holding ``need``, so a query missing only its own cell costs O(1) and a
+    cell nothing reads is never grown; sorting puts every cell after the
+    cells it draws on, so no evaluation recurses.
+    """
+    cell = cells.get((a, b))
+    if cell is None or len(cell) < need:
+        with _LOCK:
+            stale, todo = set(), [(a, b)]
+            while todo:
+                at = todo.pop()
+                if at not in stale and len(cells.get(at, ())) < need:
+                    stale.add(at)
+                    x, y = at
+                    if x and y:
+                        todo += (x, y - 1), (x - 1, y)
+            for x, y in sorted(stale):
+                grow(cells, x, y, need)
+            cell = cells[a, b]
+    return cell
+
+
+def _clearer(cells: dict) -> Callable[[], None]:
+    def cache_clear() -> None:
+        """Empty the table this route keeps."""
+        with _LOCK:
+            cells.clear()
+    return cache_clear
+
+
 def _grow_suspension(rows: dict, a: int, b: int, length: int) -> None:
     # Row (a, b) holds chi(C_{a,e}(P^{a+b})) for e < len(row).
     row = rows.setdefault((a, b), [])
@@ -149,7 +194,7 @@ def _grow_suspension(rows: dict, a: int, b: int, length: int) -> None:
             row.append(down[e] + sum(map(mul, left, rdown[top - e:])))
 
 
-_SUSPENSION = _tables.GridTable(_grow_suspension)
+_SUSPENSION: dict[tuple[int, int], list[int]] = {}
 
 
 def chow_euler_recursive(params: ChowParams) -> EulerValue:
@@ -168,8 +213,12 @@ def chow_euler_recursive(params: ChowParams) -> EulerValue:
     >>> chow_euler_recursive(ChowParams(2, 2, 7)).chi
     1
     """
-    row = _SUSPENSION.cell(params.p, params.n - params.p, params.d + 1)
+    row = _cell(_SUSPENSION, _grow_suspension,
+                params.p, params.n - params.p, params.d + 1)
     return EulerValue(row[params.d], "recursive")
+
+
+chow_euler_recursive.cache_clear = _clearer(_SUSPENSION)
 
 
 def points_euler_recursive(n: int, d: int) -> int:
@@ -221,7 +270,7 @@ def _grow_functional(cells: dict, a: int, b: int, size: int) -> None:
             cells.pop((x, y), None)
 
 
-_FUNCTIONAL = _tables.GridTable(_grow_functional)
+_FUNCTIONAL: dict[tuple[int, int], tuple[int, ...]] = {}
 
 
 def chow_series(p: int, n: int, order: int, method: str = SERIES_CLOSED) -> TruncatedSeries:
@@ -248,9 +297,12 @@ def chow_series(p: int, n: int, order: int, method: str = SERIES_CLOSED) -> Trun
     if method == SERIES_CLOSED:
         return series_geom_pow(v_pn(p, n), order)
     if method == SERIES_FUNCTIONAL:
-        coeffs = _FUNCTIONAL.cell(p, n - p, order + 1)
+        coeffs = _cell(_FUNCTIONAL, _grow_functional, p, n - p, order + 1)
         return TruncatedSeries(coeffs[:order + 1])
     raise ValueError(f"unknown series method {method!r}")
+
+
+chow_series.cache_clear = _clearer(_FUNCTIONAL)
 
 
 def chow_euler_series(params: ChowParams) -> EulerValue:

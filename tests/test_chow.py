@@ -184,8 +184,8 @@ def closed(p, n, d):
 
 
 def clear_tables():
-    for table in (chow._SUSPENSION, chow._FUNCTIONAL):
-        table.cache_clear()
+    chow_euler_recursive.cache_clear()
+    chow_series.cache_clear()
 
 
 def test_routes_do_not_recurse_in_the_ambient_dimension():
@@ -238,27 +238,27 @@ def test_functional_table_keeps_only_its_frontier():
                                          (2, 7, 8, 17), (4, 9, 10, 29)]:
         clear_tables()
         chow_series(p, n, 6, "functional")
-        assert len(chow._FUNCTIONAL._cells) == functional
+        assert len(chow._FUNCTIONAL) == functional
         chow_euler_recursive(ChowParams(p, n, 6))
-        assert len(chow._SUSPENSION._cells) == suspension
-        assert (0, 0) not in chow._SUSPENSION._cells
+        assert len(chow._SUSPENSION) == suspension
+        assert (0, 0) not in chow._SUSPENSION
 
 
 def test_zero_cycle_query_grows_one_suspension_row():
     # p = 0 is a base case of the recursion: its row reads no other row
     clear_tables()
     assert chow_euler_recursive(ChowParams(0, 1000, 300)).chi == math.comb(1300, 300)
-    assert list(chow._SUSPENSION._cells) == [(0, 1000)]
+    assert list(chow._SUSPENSION) == [(0, 1000)]
 
 
 def test_only_the_two_convolution_routes_keep_tables():
     # The 0-cycle point recursion recomputes its running sums on every call.
     tables = {name for name, value in vars(chow).items()
               if callable(getattr(value, "cache_clear", None))}
-    assert tables == {"_SUSPENSION", "_FUNCTIONAL"}
+    assert tables == {"chow_euler_recursive", "chow_series"}
     clear_tables()
     assert points_euler_recursive(30, 200) == math.comb(230, 200)
-    assert chow._SUSPENSION._cells == {} and chow._FUNCTIONAL._cells == {}
+    assert chow._SUSPENSION == {} and chow._FUNCTIONAL == {}
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -281,16 +281,26 @@ def test_tables_grow_consistently_under_concurrent_queries(seed):
             if got != (closed(p, n, d), math.comb(n + d, d), closed(p, n, d)):
                 errors.append((p, n, d))
 
+    def clearer():
+        # emptying a table mid-growth must not leave a half-cleared box
+        while not done.is_set():
+            clear_tables()
+
+    done = threading.Event()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     threads = [threading.Thread(target=worker, args=(6 * seed + i,))
                for i in range(6)]
+    emptier = threading.Thread(target=clearer)
     try:
+        emptier.start()
         for t in threads:
             t.start()
         for t in threads:
             t.join(timeout=60)
     finally:
+        done.set()
+        emptier.join(timeout=60)
         sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
+    assert not any(t.is_alive() for t in threads + [emptier])
     assert not errors

@@ -10,7 +10,7 @@ import pytest
 
 import chowchi
 import chowchi.verify as verify_mod
-from chowchi import _tables, binomials, chow, cli, invariants
+from chowchi import binomials, chow, cli, invariants
 from chowchi.chow import ChowParams, EulerValue, chow_euler_closed
 from chowchi.series import TruncatedSeries, series_mul
 from chowchi.verify import SUITE_NAMES, VerificationReport, run_suite
@@ -222,8 +222,8 @@ def test_base_cases_catch_a_lying_point_recursion(monkeypatch):
 
 
 def clear_tables():
-    for table in (chow._SUSPENSION, chow._FUNCTIONAL):
-        table.cache_clear()
+    chow.chow_euler_recursive.cache_clear()
+    chow.chow_series.cache_clear()
 
 
 def test_functional_factorization_catches_a_product_both_sides_share(monkeypatch):
@@ -282,8 +282,8 @@ def test_cases_run_per_suite(bounds, counts):
 
 
 def test_annotations_resolve():
-    for method in (_tables.GridTable.__init__, _tables.GridTable.cell,
-                   VerificationReport.check, VerificationReport.to_json_dict):
+    for method in (chow._cell, VerificationReport.check,
+                   VerificationReport.to_json_dict):
         assert typing.get_type_hints(method)
 
 
