@@ -18,7 +18,6 @@ calls it once and freezes the heap before the interpreter exits.
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -202,6 +201,7 @@ def main(argv: list[str] | None = None) -> int:
         with _unlimited_int_digits():
             payload, header, rows, code = args.func(args)
             if args.format == "json":
+                import json     # stdlib, and only the JSON output needs it
                 print(json.dumps(payload, indent=2))
             else:
                 print("\n".join([header, *(f"{a},{b}" for a, b in rows)]))

@@ -11,6 +11,7 @@ the full run finishes in seconds.
 
 import contextlib
 import sys
+import threading
 import time
 
 from ._record import Record
@@ -40,24 +41,39 @@ __all__ = ["VerificationReport", "SUITE_NAMES", "run_suite"]
 SUITE_NAMES = ("recursion", "series", "quaternionic", "base-cases", "all")
 
 
+# nested lifts of the digit limit, in every thread, and the limit the first
+# one saved; guarded by _LIFT_LOCK
+_LIFT_LOCK = threading.Lock()
+_lifts = 0
+_saved_limit = 0
+
+
 @contextlib.contextmanager
 def _unlimited_int_digits():
     """Lift Python's int-to-str digit limit (CVE-2020-10735) for one block.
 
     Counts of any size must render as decimal strings.  The limit is
     process-wide, so the caller's value is restored afterwards instead of
-    being changed at import.
+    being changed at import.  Lifts may overlap, in one thread or several:
+    the first to enter saves the limit and the last to leave restores it.
     """
+    global _lifts, _saved_limit
     get_limit = getattr(sys, "get_int_max_str_digits", None)
     if get_limit is None:       # an interpreter without the limit
         yield
         return
-    limit = get_limit()
-    sys.set_int_max_str_digits(0)
+    with _LIFT_LOCK:
+        if not _lifts:
+            _saved_limit = get_limit()
+            sys.set_int_max_str_digits(0)
+        _lifts += 1
     try:
         yield
     finally:
-        sys.set_int_max_str_digits(limit)
+        with _LIFT_LOCK:
+            _lifts -= 1
+            if not _lifts:
+                sys.set_int_max_str_digits(_saved_limit)
 
 
 class VerificationReport(Record):

@@ -65,6 +65,16 @@ def test_window_gate_matches_stdlib_comb():
             assert binomial(n, k) == (math.comb(n, k) if k >= 0 else 0), (n, k)
 
 
+def test_window_strip_boundary_at_71_squared():
+    # 71^2 = 5041: at k' = 5040 the prime 71 has one level and goes through
+    # the index loop; from k' = 5041 on it has a second level, q = 71^2, and
+    # is stripped by slices
+    for k_low in (5040, 5041, 5042):
+        for n in (2 * k_low, 2 * k_low + 1, 2**40 + k_low):
+            for k in (k_low, n - k_low):
+                assert binomial(n, k) == math.comb(n, k), (n, k)
+
+
 @settings(max_examples=20, deadline=None)
 @given(k_low=st.integers(G - 64, G + 64), extra=st.integers(0, 2**80),
        from_top=st.booleans())

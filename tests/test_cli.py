@@ -389,9 +389,9 @@ def test_chow_without_a_digit_limit(capsys, monkeypatch):
 
 def test_cli_import_leaves_out_dataclasses():
     # every CLI process pays for what importing the CLI imports; -S skips
-    # site, which may load typing on its own
+    # site, which may load typing on its own; json loads only to print JSON
     code = ("import sys; before = set(sys.modules); import chowchi.cli; "
-            "print(sorted({'__future__', 'dataclasses', 'inspect', 'typing'}"
+            "print(sorted({'__future__', 'dataclasses', 'inspect', 'json', 'typing'}"
             " & (set(sys.modules) - before)))")
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                           text=True, check=True, env=child_env())

@@ -3,6 +3,7 @@
 import importlib
 import pkgutil
 import sys
+import threading
 import typing
 from collections import Counter
 
@@ -204,6 +205,54 @@ def test_huge_mismatch_renders_under_the_callers_digit_limit(monkeypatch):
         "expected": {"path": "closed", "value": "1"},
         "actual": {"path": "recursive", "value": "1" + "0" * 5000},
     }]
+
+
+def test_overlapping_digit_lifts_restore_the_limit_last():
+    # A enters, B enters, A leaves: B's block must still be lifted, and the
+    # caller's limit comes back only when B leaves too
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4321)
+    try:
+        a = verify_mod._unlimited_int_digits()
+        b = verify_mod._unlimited_int_digits()
+        a.__enter__()
+        b.__enter__()
+        a.__exit__(None, None, None)
+        assert sys.get_int_max_str_digits() == 0
+        b.__exit__(None, None, None)
+        assert sys.get_int_max_str_digits() == 4321
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_digit_lifts_in_many_threads():
+    # threads switching every microsecond, each rendering a value past the
+    # limit inside its own lift; a lost lift raises ValueError in str()
+    def render(errors):
+        try:
+            for _ in range(50):
+                with verify_mod._unlimited_int_digits():
+                    str(10**6000)
+        except ValueError as exc:
+            errors.append(exc)
+
+    errors = []
+    limit = sys.get_int_max_str_digits()
+    interval = sys.getswitchinterval()
+    sys.set_int_max_str_digits(4321)
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=render, args=(errors,)) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert sys.get_int_max_str_digits() == 4321
+    finally:
+        sys.setswitchinterval(interval)
+        sys.set_int_max_str_digits(limit)
+    assert errors == []
 
 
 def test_base_cases_catch_a_lying_point_recursion(monkeypatch):
