@@ -1,11 +1,13 @@
 """Command line surface: single values, series and degree tables,
 quaternionic checks, and the verification sweeps.
 
-Each command returns its JSON payload, CSV header and rows, and exit code,
-and ``main`` prints them in one place; ``verify`` prints JSON only.  Output
-is deterministic for a given command line.  Every number inside JSON output
-is a decimal string, never a float, so arbitrarily large counts pass through
-any JSON consumer unchanged.  Exit codes: 0 for success or a clean
+Each option is declared once in ``build_parser``, and the JSON
+``query.params`` echoes every parsed option except ``--format``, in ``--help``
+order.  Each command returns its JSON payload, CSV header and rows, and exit
+code, and ``main`` prints them in one place; ``verify`` prints JSON only.
+Output is deterministic for a given command line.  Every number inside JSON
+output is a decimal string, never a float, so arbitrarily large counts pass
+through any JSON consumer unchanged.  Exit codes: 0 for success or a clean
 verification, 1 when any cross-check disagrees, 2 for usage errors, 70
 (``EX_SOFTWARE``) with one ``chowchi: internal error: <type>: <message>``
 line on stderr for any other exception, such as a ``MemoryError``, and 141
@@ -44,11 +46,12 @@ EXIT_BROKEN_PIPE = 141
 EXIT_INTERNAL_ERROR = 70    # EX_SOFTWARE of sysexits.h
 
 
-def _query(subcommand: str, **params) -> dict:
-    return {
-        "subcommand": subcommand,
-        "params": {k: str(v) for k, v in params.items()},
-    }
+def _query(args) -> dict:
+    """The subcommand and its parsed options but ``--format``; argparse fills
+    the namespace in declaration order, whatever order they were typed in."""
+    params = {k: str(v) for k, v in vars(args).items()
+              if k not in ("command", "format", "func")}
+    return {"subcommand": args.command, "params": params}
 
 
 def _routes(query: dict, results: list, note: str | None = None) -> tuple:
@@ -79,15 +82,13 @@ def _cmd_chow(args) -> tuple:
     }
     methods = list(compute) if args.method == "all" else [args.method]
     results = [(m, str(compute[m](params).chi)) for m in methods]
-    query = _query("chow", p=args.p, n=args.n, d=args.d, method=args.method)
-    return _routes(query, results)
+    return _routes(_query(args), results)
 
 
 def _cmd_series(args) -> tuple:
     s = chow_series(args.p, args.n, args.order, method=args.method)
     coeffs = [str(c) for c in s.coeffs]
-    query = _query("series", p=args.p, n=args.n, order=args.order, method=args.method)
-    payload = _routes(query, [(args.method, coeffs)])[0]
+    payload = _routes(_query(args), [(args.method, coeffs)])[0]
     return payload, "d,chi", list(enumerate(coeffs)), 0
 
 
@@ -102,8 +103,7 @@ def _cmd_quaternionic(args) -> tuple:
             results.append(("oracle-d1", str(quaternionic_d1_oracle(args.p, args.qn))))
         if len(results) == 1:
             note = "no decomposition oracle applies; oracles cover p=0 and d=1"
-    query = _query("quaternionic", p=args.p, qn=args.qn, d=args.d, oracle=args.oracle)
-    return _routes(query, results, note)
+    return _routes(_query(args), results, note)
 
 
 def _cmd_table(args) -> tuple:
@@ -113,7 +113,7 @@ def _cmd_table(args) -> tuple:
     coeffs = chow_series(args.p, args.n, args.max_d).coeffs
     rows = [(str(d), str(chi)) for d, chi in enumerate(coeffs)]
     payload = {
-        "query": _query("table", p=args.p, n=args.n, max_d=args.max_d),
+        "query": _query(args),
         "rows": [{"d": d, "chi": chi} for d, chi in rows],
     }
     return payload, "d,chi", rows, 0
@@ -136,62 +136,51 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Euler characteristics of cycle spaces of projective space.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    p = "--p", dict(type=int, required=True, help="cycle dimension")
+    n = "--n", dict(type=int, required=True, help="ambient projective dimension")
+    d = "--d", dict(type=int, required=True, help="cycle degree")
 
-    p_chow = sub.add_parser(
-        "chow", help="chi(C_{p,d}(P^n)) for one parameter triple")
-    p_chow.add_argument("--p", type=int, required=True, help="cycle dimension")
-    p_chow.add_argument("--n", type=int, required=True,
-                        help="ambient projective dimension")
-    p_chow.add_argument("--d", type=int, required=True, help="cycle degree")
-    p_chow.add_argument("--method", default="closed",
-                        choices=["closed", "recursive", "series", "all"],
-                        help="computation path, or all three with a match flag")
-    p_chow.add_argument("--format", default="json", choices=["json", "csv"])
-    p_chow.set_defaults(func=_cmd_chow)
+    def command(name, func, help, *options):
+        # --format closes each --help; argparse's parents= would list it first
+        cmd = sub.add_parser(name, help=help)
+        for flag, kwargs in options:
+            cmd.add_argument(flag, **kwargs)
+        cmd.add_argument("--format", default="json", choices=["json", "csv"])
+        cmd.set_defaults(func=func)
 
-    p_series = sub.add_parser(
-        "series", help="coefficients of the generating function Q_{p,n}(t)")
-    p_series.add_argument("--p", type=int, required=True, help="cycle dimension")
-    p_series.add_argument("--n", type=int, required=True,
-                          help="ambient projective dimension")
-    p_series.add_argument("--order", type=int, required=True,
-                          help="truncation degree")
-    p_series.add_argument("--method", default=SERIES_CLOSED,
-                          choices=[SERIES_CLOSED, SERIES_FUNCTIONAL],
-                          help="direct expansion or functional-equation build")
-    p_series.add_argument("--format", default="json", choices=["json", "csv"])
-    p_series.set_defaults(func=_cmd_series)
-
-    p_quat = sub.add_parser(
-        "quaternionic",
-        help="chi of the right quaternionic cycle space inside P^{2n-1}")
-    p_quat.add_argument("--p", type=int, required=True, help="cycle dimension")
-    p_quat.add_argument("--qn", type=int, required=True,
-                        help="quaternionic dimension n (ambient space P^{2n-1})")
-    p_quat.add_argument("--d", type=int, required=True, help="cycle degree")
-    p_quat.add_argument("--oracle", default="none", choices=["none", "auto"],
-                        help="also run the decomposition oracle when one applies")
-    p_quat.add_argument("--format", default="json", choices=["json", "csv"])
-    p_quat.set_defaults(func=_cmd_quaternionic)
+    command("chow", _cmd_chow, "chi(C_{p,d}(P^n)) for one parameter triple",
+            p, n, d,
+            ("--method", dict(
+                default="closed", choices=["closed", "recursive", "series", "all"],
+                help="computation path, or all three with a match flag")))
+    command("series", _cmd_series,
+            "coefficients of the generating function Q_{p,n}(t)",
+            p, n,
+            ("--order", dict(type=int, required=True, help="truncation degree")),
+            ("--method", dict(
+                default=SERIES_CLOSED, choices=[SERIES_CLOSED, SERIES_FUNCTIONAL],
+                help="direct expansion or functional-equation build")))
+    command("quaternionic", _cmd_quaternionic,
+            "chi of the right quaternionic cycle space inside P^{2n-1}",
+            p,
+            ("--qn", dict(type=int, required=True,
+                          help="quaternionic dimension n (ambient space P^{2n-1})")),
+            d,
+            ("--oracle", dict(default="none", choices=["none", "auto"],
+                              help="also run the decomposition oracle when one applies")))
 
     p_verify = sub.add_parser(
         "verify", help="run a consistency sweep and emit a JSON report")
     p_verify.add_argument("--suite", default="all", choices=list(SUITE_NAMES))
-    p_verify.add_argument("--max-p", type=int, default=4, dest="max_p")
-    p_verify.add_argument("--max-n", type=int, default=6, dest="max_n")
-    p_verify.add_argument("--max-d", type=int, default=10, dest="max_d")
+    p_verify.add_argument("--max-p", type=int, default=4)
+    p_verify.add_argument("--max-n", type=int, default=6)
+    p_verify.add_argument("--max-d", type=int, default=10)
     p_verify.add_argument("--order", type=int, default=12)
     p_verify.set_defaults(func=_cmd_verify, format="json")
 
-    p_table = sub.add_parser(
-        "table", help="degree table of chi(C_{p,d}(P^n)) for d = 0..max-d")
-    p_table.add_argument("--p", type=int, required=True, help="cycle dimension")
-    p_table.add_argument("--n", type=int, required=True,
-                         help="ambient projective dimension")
-    p_table.add_argument("--max-d", type=int, required=True, dest="max_d")
-    p_table.add_argument("--format", default="json", choices=["json", "csv"])
-    p_table.set_defaults(func=_cmd_table)
-
+    command("table", _cmd_table,
+            "degree table of chi(C_{p,d}(P^n)) for d = 0..max-d",
+            p, n, ("--max-d", dict(type=int, required=True)))
     return parser
 
 

@@ -296,7 +296,11 @@ def test_parser_prog_name():
 ])
 def test_value_commands_are_deterministic(capsys, argv):
     code_a, out_a, _ = run_cli(capsys, argv)
-    code_b, out_b, _ = run_cli(capsys, argv)
+    # the same options typed in reverse order: the query echo must not move
+    pairs = [argv[i:i + 2] for i in range(1, len(argv), 2)]
+    reordered = [argv[0], *(arg for pair in reversed(pairs) for arg in pair)]
+    assert reordered != argv
+    code_b, out_b, _ = run_cli(capsys, reordered)
     assert code_a == code_b == 0
     assert out_a == out_b
 
@@ -562,12 +566,16 @@ def test_golden_stdout(capsys, name):
     assert run_cli(capsys, argv) == (0, expected, "")
 
 
-def test_golden_verify_stdout(capsys):
-    code, out, err = run_cli(capsys, ["verify", "--max-n", "2", "--max-d", "2"])
+@pytest.mark.parametrize("argv, cases", [
+    (["verify", "--max-n", "2", "--max-d", "2"], "663"),
+    (["verify"], "2482"),       # the default bounds (4, 6, 10, 12)
+], ids=["small-bounds", "default-bounds"])
+def test_golden_verify_stdout(capsys, argv, cases):
+    code, out, err = run_cli(capsys, argv)
     assert (code, err) == (0, "")
     head, sep, elapsed = out.rpartition('  "elapsed_ms": "')
     assert sep and elapsed[:-4].isdigit() and elapsed[-4:] == '"\n}\n'
-    assert head == '{\n  "suite": "all",\n  "cases_run": "663",\n  "failures": [],\n'
+    assert head == f'{{\n  "suite": "all",\n  "cases_run": "{cases}",\n  "failures": [],\n'
 
 
 def test_golden_mismatch_stdout(capsys, monkeypatch):
