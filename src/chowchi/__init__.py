@@ -16,53 +16,15 @@ The ``chowchi`` command line tool exposes the same computations plus the
 cross-checking sweeps; see ``chowchi --help``.
 """
 
-from .binomials import binomial
-from .chow import (
-    ChowParams,
-    EulerValue,
-    chow_euler_closed,
-    chow_euler_recursive,
-    chow_euler_series,
-    chow_series,
-    divisor_check,
-    points_euler_recursive,
-    v_pn,
-)
-from .invariants import (
-    QuaternionicParams,
-    g_invariant_euler,
-    quaternionic_d1_oracle,
-    quaternionic_euler_closed,
-    quaternionic_p0_oracle,
-    sp_euler,
-)
-from .series import TruncatedSeries, series_coefficient, series_geom_pow, series_mul
-from .verify import VerificationReport, run_suite
+from .binomials import *
+from .series import *
+from .chow import *
+from .invariants import *
+from .verify import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "binomial",
-    "TruncatedSeries",
-    "series_geom_pow",
-    "series_mul",
-    "series_coefficient",
-    "ChowParams",
-    "EulerValue",
-    "v_pn",
-    "chow_euler_closed",
-    "chow_euler_recursive",
-    "chow_euler_series",
-    "points_euler_recursive",
-    "chow_series",
-    "divisor_check",
-    "QuaternionicParams",
-    "g_invariant_euler",
-    "quaternionic_euler_closed",
-    "quaternionic_p0_oracle",
-    "quaternionic_d1_oracle",
-    "sp_euler",
-    "VerificationReport",
-    "run_suite",
-    "__version__",
-]
+# Each public name is declared once, in its module's ``__all__``; importing a
+# submodule also binds the module's own name here.
+__all__ = [*binomials.__all__, *series.__all__, *chow.__all__,
+           *invariants.__all__, *verify.__all__, "__version__"]

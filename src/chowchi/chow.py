@@ -87,18 +87,16 @@ _set_p, _set_n, _set_d = field_setters(ChowParams)
 
 
 class EulerValue(Record):
-    """An Euler characteristic together with the route that produced it."""
+    """A route's answer: the Euler characteristic ``chi``, without the route's name."""
 
-    __slots__ = ("chi", "method")
+    __slots__ = ("chi",)
     chi: int
-    method: str
 
-    def __init__(self, chi: int, method: str):
+    def __init__(self, chi: int):
         _set_chi(self, chi)
-        _set_method(self, method)
 
 
-_set_chi, _set_method = field_setters(EulerValue)
+(_set_chi,) = field_setters(EulerValue)
 
 
 def v_pn(p: int, n: int) -> int:
@@ -129,7 +127,7 @@ def chow_euler_closed(params: ChowParams) -> EulerValue:
     1
     """
     chi = binomial(v_pn(params.p, params.n) + params.d - 1, params.d)
-    return EulerValue(chi, "closed")
+    return EulerValue(chi)
 
 
 # Both tables are dicts of cells (a, b) = (p, n - p), a, b >= 0.  An inner
@@ -215,7 +213,7 @@ def chow_euler_recursive(params: ChowParams) -> EulerValue:
     """
     row = _cell(_SUSPENSION, _grow_suspension,
                 params.p, params.n - params.p, params.d + 1)
-    return EulerValue(row[params.d], "recursive")
+    return EulerValue(row[params.d])
 
 
 chow_euler_recursive.cache_clear = _clearer(_SUSPENSION)
@@ -315,7 +313,7 @@ def chow_euler_series(params: ChowParams) -> EulerValue:
     21
     """
     s = chow_series(params.p, params.n, params.d, SERIES_FUNCTIONAL)
-    return EulerValue(series_coefficient(s, params.d), "series")
+    return EulerValue(series_coefficient(s, params.d))
 
 
 def divisor_check(p: int, d: int) -> int:

@@ -58,13 +58,6 @@ def test_closed_examples():
         assert chow_euler_closed(ChowParams(3, 3, d)).chi == 1
 
 
-def test_method_tags():
-    p = ChowParams(1, 2, 2)
-    assert chow_euler_closed(p).method == "closed"
-    assert chow_euler_recursive(p).method == "recursive"
-    assert chow_euler_series(p).method == "series"
-
-
 def test_recursive_examples():
     assert chow_euler_recursive(ChowParams(1, 2, 2)).chi == 6
     assert chow_euler_recursive(ChowParams(2, 2, 7)).chi == 1

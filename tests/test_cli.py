@@ -227,7 +227,7 @@ def test_verify_reports_failure_with_exit_one(capsys, monkeypatch):
     def lying(params):
         value = honest(params)
         if (params.p, params.n, params.d) == (1, 2, 2):
-            return type(value)(chi=value.chi + 1, method=value.method)
+            return type(value)(chi=value.chi + 1)
         return value
 
     monkeypatch.setattr(verify_mod, "chow_euler_closed", lying)
@@ -583,7 +583,7 @@ def test_golden_mismatch_stdout(capsys, monkeypatch):
 
     def lying(params):
         value = honest(params)
-        return type(value)(chi=value.chi + 1, method=value.method)
+        return type(value)(chi=value.chi + 1)
 
     monkeypatch.setattr(cli_mod, "chow_euler_recursive", lying)
     argv, _ = GOLDEN["chow-json"]

@@ -45,8 +45,7 @@ VALUES = [
      "TruncatedSeries(coeffs=(1, 2))"),
     ("d", ChowParams(1, 3, 2), ChowParams(p=1, n=3, d=2),
      "ChowParams(p=1, n=3, d=2)"),
-    ("chi", EulerValue(21, "closed"), EulerValue(chi=21, method="closed"),
-     "EulerValue(chi=21, method='closed')"),
+    ("chi", EulerValue(21), EulerValue(chi=21), "EulerValue(chi=21)"),
     ("p", QuaternionicParams(1, 2, 3), QuaternionicParams(p=1, n=2, d=3),
      "QuaternionicParams(p=1, n=2, d=3)"),
 ]
@@ -72,9 +71,8 @@ def test_value_semantics():
 
 def test_equality_only_within_one_type():
     assert ChowParams(1, 2, 3) != QuaternionicParams(1, 2, 3)
-    assert EulerValue(1, "closed") != (1, "closed")
+    assert EulerValue(1) != (1,)
     assert TruncatedSeries([1, 2]) != (1, 2)
-    assert EulerValue(1, "closed") != EulerValue(1, "recursive")
 
 
 def test_geom_pow_examples():
