@@ -38,7 +38,7 @@ from .invariants import (
     quaternionic_euler_closed,
     quaternionic_p0_oracle,
 )
-from .verify import SUITE_NAMES, _unlimited_int_digits, run_suite
+from .verify import SUITE_NAMES, _decimal, run_suite
 
 __all__ = ["main", "build_parser", "EXIT_BROKEN_PIPE", "EXIT_INTERNAL_ERROR"]
 
@@ -81,26 +81,26 @@ def _cmd_chow(args) -> tuple:
         "series": chow_euler_series,
     }
     methods = list(compute) if args.method == "all" else [args.method]
-    results = [(m, str(compute[m](params).chi)) for m in methods]
+    results = [(m, _decimal(compute[m](params).chi)) for m in methods]
     return _routes(_query(args), results)
 
 
 def _cmd_series(args) -> tuple:
     s = chow_series(args.p, args.n, args.order, method=args.method)
-    coeffs = [str(c) for c in s.coeffs]
+    coeffs = [_decimal(c) for c in s.coeffs]
     payload = _routes(_query(args), [(args.method, coeffs)])[0]
     return payload, "d,chi", list(enumerate(coeffs)), 0
 
 
 def _cmd_quaternionic(args) -> tuple:
     params = QuaternionicParams(args.p, args.qn, args.d)
-    results = [("closed", str(quaternionic_euler_closed(params)))]
+    results = [("closed", _decimal(quaternionic_euler_closed(params)))]
     note = None
     if args.oracle == "auto":
         if args.p == 0:
-            results.append(("oracle-p0", str(quaternionic_p0_oracle(args.qn, args.d))))
+            results.append(("oracle-p0", _decimal(quaternionic_p0_oracle(args.qn, args.d))))
         if args.d == 1:
-            results.append(("oracle-d1", str(quaternionic_d1_oracle(args.p, args.qn))))
+            results.append(("oracle-d1", _decimal(quaternionic_d1_oracle(args.p, args.qn))))
         if len(results) == 1:
             note = "no decomposition oracle applies; oracles cover p=0 and d=1"
     return _routes(_query(args), results, note)
@@ -111,7 +111,7 @@ def _cmd_table(args) -> tuple:
         raise ValueError(f"max_d must be nonnegative, got {args.max_d}")
     # the closed series is the whole table; it also validates p and n
     coeffs = chow_series(args.p, args.n, args.max_d).coeffs
-    rows = [(str(d), str(chi)) for d, chi in enumerate(coeffs)]
+    rows = [(str(d), _decimal(chi)) for d, chi in enumerate(coeffs)]
     payload = {
         "query": _query(args),
         "rows": [{"d": d, "chi": chi} for d, chi in rows],
@@ -187,13 +187,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with _unlimited_int_digits():
-            payload, header, rows, code = args.func(args)
-            if args.format == "json":
-                import json     # stdlib, and only the JSON output needs it
-                print(json.dumps(payload, indent=2))
-            else:
-                print("\n".join([header, *(f"{a},{b}" for a, b in rows)]))
+        payload, header, rows, code = args.func(args)
+        if args.format == "json":
+            import json     # stdlib, and only the JSON output needs it
+            print(json.dumps(payload, indent=2))
+        else:
+            print("\n".join([header, *(f"{a},{b}" for a, b in rows)]))
         # a closed pipe must surface here, not in the interpreter's last flush
         sys.stdout.flush()
         return code

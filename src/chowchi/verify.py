@@ -2,16 +2,14 @@
 
 Each suite recomputes a family of exact identities by two routes and records
 every disagreement as the entry its report prints, with the inputs and both
-paths and values as strings; an empty failure list is the pass condition.
+paths and values as strings, a value of any size in full decimal under the
+caller's int-to-str digit limit; an empty failure list is the pass condition.
 ``run_suite`` is the one entry, and no suite has a public function of its
 own: it runs a suite by name, or every suite in sequence for ``"all"``, and
 the CLI surfaces it as ``chowchi verify``.  The sweep sizes are chosen so
 the full run finishes in seconds.
 """
 
-import contextlib
-import sys
-import threading
 import time
 
 from ._record import Record
@@ -41,39 +39,28 @@ __all__ = ["VerificationReport", "SUITE_NAMES", "run_suite"]
 SUITE_NAMES = ("recursion", "series", "quaternionic", "base-cases", "all")
 
 
-# nested lifts of the digit limit, in every thread, and the limit the first
-# one saved; guarded by _LIFT_LOCK
-_LIFT_LOCK = threading.Lock()
-_lifts = 0
-_saved_limit = 0
+# A count renders _CHUNK digits at a time: 600 is below 640, the least
+# nonzero int-to-str limit (CVE-2020-10735) an interpreter accepts, so no
+# str() call in _decimal meets a limit the caller set, and none is changed
+_CHUNK = 600
+_CHUNK_BASE = 10**_CHUNK
 
 
-@contextlib.contextmanager
-def _unlimited_int_digits():
-    """Lift Python's int-to-str digit limit (CVE-2020-10735) for one block.
-
-    Counts of any size must render as decimal strings.  The limit is
-    process-wide, so the caller's value is restored afterwards instead of
-    being changed at import.  Lifts may overlap, in one thread or several:
-    the first to enter saves the limit and the last to leave restores it.
-    """
-    global _lifts, _saved_limit
-    get_limit = getattr(sys, "get_int_max_str_digits", None)
-    if get_limit is None:       # an interpreter without the limit
-        yield
-        return
-    with _LIFT_LOCK:
-        if not _lifts:
-            _saved_limit = get_limit()
-            sys.set_int_max_str_digits(0)
-        _lifts += 1
-    try:
-        yield
-    finally:
-        with _LIFT_LOCK:
-            _lifts -= 1
-            if not _lifts:
-                sys.set_int_max_str_digits(_saved_limit)
+def _decimal(value) -> str:
+    """``str(value)`` for an int, or a tuple of ints, of any size."""
+    if isinstance(value, tuple):
+        items = [_decimal(v) for v in value]
+        return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
+    if not isinstance(value, int) or -_CHUNK_BASE < value < _CHUNK_BASE:
+        return str(value)
+    if value < 0:
+        return "-" + _decimal(-value)
+    chunks = []
+    while value >= _CHUNK_BASE:
+        value, low = divmod(value, _CHUNK_BASE)
+        chunks.append(str(low).zfill(_CHUNK))
+    chunks.append(str(value))
+    return "".join(reversed(chunks))
 
 
 class VerificationReport(Record):
@@ -110,15 +97,15 @@ class VerificationReport(Record):
         actual_path: str,
         actual: object,
     ) -> None:
-        """Count one comparison; a mismatch is kept as the entry it prints as."""
+        """Count one comparison; a mismatch is kept as the entry it prints as,
+        its two values rendered by ``_decimal``."""
         self.cases_run += 1
         if expected != actual:
-            with _unlimited_int_digits():
-                self.failures.append({
-                    "inputs": {k: str(v) for k, v in inputs.items()},
-                    "expected": {"path": expected_path, "value": str(expected)},
-                    "actual": {"path": actual_path, "value": str(actual)},
-                })
+            self.failures.append({
+                "inputs": {k: str(v) for k, v in inputs.items()},
+                "expected": {"path": expected_path, "value": _decimal(expected)},
+                "actual": {"path": actual_path, "value": _decimal(actual)},
+            })
 
     def to_json_dict(self) -> dict[str, object]:
         """JSON-ready dict; every numeric field is a decimal string."""

@@ -76,11 +76,22 @@ def test_chow_large_value_survives_json(capsys):
     assert int(value) == math.comb(math.comb(9, 2) + 11, 12)
 
 
-def test_chow_value_over_digit_limit(capsys):
+def test_chow_value_over_digit_limit(capsys, monkeypatch):
+    # the route computes under the caller's limit, and the limit is unchanged
+    # after the command
+    honest = cli_mod.chow_euler_closed
+    seen = []
+
+    def closed(params):
+        seen.append(sys.get_int_max_str_digits())
+        return honest(params)
+
+    monkeypatch.setattr(cli_mod, "chow_euler_closed", closed)
     limit = sys.get_int_max_str_digits()
     code, out, _ = run_cli(capsys, ["chow", "--p", "5", "--n", "20", "--d", "10000"])
     assert code == 0
-    assert sys.get_int_max_str_digits() == limit    # restored after the command
+    assert seen == [limit]
+    assert sys.get_int_max_str_digits() == limit
     with unlimited_int_digits():
         expected = str(math.comb(math.comb(21, 6) + 9999, 10000))
     assert len(expected) > 4300
@@ -385,7 +396,8 @@ def test_console_script_is_the_module_entry():
 
 
 def test_chow_without_a_digit_limit(capsys, monkeypatch):
-    # Python 3.10.0-3.10.6 has no int-to-str digit limit to lift
+    # Python 3.10.0-3.10.6 has no int-to-str digit limit; the renderer reads
+    # no limit API, so the CLI runs the same without one
     monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
     assert run_cli(capsys, ["chow", "--p", "1", "--n", "2", "--d", "2", "--format", "csv"]) \
         == (0, "method,value\nclosed,6\n", "")

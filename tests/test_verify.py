@@ -207,32 +207,38 @@ def test_huge_mismatch_renders_under_the_callers_digit_limit(monkeypatch):
     }]
 
 
-def test_overlapping_digit_lifts_restore_the_limit_last():
-    # A enters, B enters, A leaves: B's block must still be lifted, and the
-    # caller's limit comes back only when B leaves too
+# explicit ids: pytest would name an int case by its str()
+_RENDERED = [
+    *(pytest.param(sign * (10**k + e), id=f"{'-' if sign < 0 else ''}(10^{k}{e:+d})")
+      for k in (599, 600, 601, 1199, 1200, 1201) for e in (-1, 0, 1)
+      for sign in (1, -1)),
+    pytest.param(0, id="zero"), pytest.param(True, id="true"),
+    pytest.param(False, id="false"), pytest.param((), id="empty-tuple"),
+    pytest.param((10**5000,), id="1-tuple"),
+    pytest.param((10**4400 + 7, -(3**9000)), id="2-tuple"),
+]
+
+
+@pytest.mark.parametrize("value", _RENDERED)
+def test_decimal_renders_like_str_under_the_least_limit(value):
     limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4321)
+    sys.set_int_max_str_digits(0)
     try:
-        a = verify_mod._unlimited_int_digits()
-        b = verify_mod._unlimited_int_digits()
-        a.__enter__()
-        b.__enter__()
-        a.__exit__(None, None, None)
-        assert sys.get_int_max_str_digits() == 0
-        b.__exit__(None, None, None)
-        assert sys.get_int_max_str_digits() == 4321
+        expected = str(value)
+        sys.set_int_max_str_digits(640)     # the least nonzero limit
+        assert verify_mod._decimal(value) == expected
+        assert sys.get_int_max_str_digits() == 640
     finally:
         sys.set_int_max_str_digits(limit)
 
 
 def test_digit_lifts_in_many_threads():
     # threads switching every microsecond, each rendering a value past the
-    # limit inside its own lift; a lost lift raises ValueError in str()
+    # caller's limit; a str() that met the limit would raise ValueError
     def render(errors):
         try:
             for _ in range(50):
-                with verify_mod._unlimited_int_digits():
-                    str(10**6000)
+                verify_mod._decimal(10**6000)
         except ValueError as exc:
             errors.append(exc)
 
