@@ -3,16 +3,18 @@ quaternionic checks, and the verification sweeps.
 
 Each option is declared once in ``build_parser``, and the JSON
 ``query.params`` echoes every parsed option except ``--format``, in ``--help``
-order.  Each command returns its JSON payload, CSV header and rows, and exit
-code, and ``main`` prints them in one place; ``verify`` prints JSON only.
-Output is deterministic for a given command line.  Every number inside JSON
-output is a decimal string, never a float, so arbitrarily large counts pass
-through any JSON consumer unchanged.  Exit codes: 0 for success or a clean
-verification, 1 when any cross-check disagrees, 2 for usage errors, 70
-(``EX_SOFTWARE``) with one ``chowchi: internal error: <type>: <message>``
-line on stderr for any other exception, such as a ``MemoryError``, and 141
-(the shell's code for death by SIGPIPE) when the reader closes stdout before
-the output is written, as ``chowchi verify | head -1`` may.
+order.  ``verify`` passes ``run_suite`` only the bounds typed, so its defaults
+are ``run_suite``'s alone.  Each command returns its JSON payload, CSV header
+and rows, and exit code, and ``main`` prints them in one place; ``verify``
+prints JSON only.  Output is deterministic for a given command line.  Every
+number inside JSON output is a decimal string, never a float, so arbitrarily
+large counts pass through any JSON consumer unchanged.  Exit codes: 0 for
+success or a clean verification, 1 when any cross-check disagrees, 2 for usage
+errors, 70 (``EX_SOFTWARE``) with one
+``chowchi: internal error: <type>: <message>`` line on stderr for any other
+exception, such as a ``MemoryError``, and 141 (the shell's code for death by
+SIGPIPE) when the reader closes stdout before the output is written, as
+``chowchi verify | head -1`` may.
 
 ``main`` returns the exit code and may run many times in one process, so it
 leaves the garbage collector alone.  The process entry, ``chowchi.__main__``,
@@ -46,11 +48,15 @@ EXIT_BROKEN_PIPE = 141
 EXIT_INTERNAL_ERROR = 70    # EX_SOFTWARE of sysexits.h
 
 
+def _options(args) -> dict:
+    """The parsed options but ``--format``; of verify's bounds, only those typed."""
+    return {k: v for k, v in vars(args).items()
+            if k not in ("command", "format", "func")}
+
+
 def _query(args) -> dict:
-    """The subcommand and its parsed options but ``--format``; argparse fills
-    the namespace in declaration order, whatever order they were typed in."""
-    params = {k: str(v) for k, v in vars(args).items()
-              if k not in ("command", "format", "func")}
+    """The subcommand and its options, in declaration order however typed."""
+    params = {k: str(v) for k, v in _options(args).items()}
     return {"subcommand": args.command, "params": params}
 
 
@@ -120,13 +126,7 @@ def _cmd_table(args) -> tuple:
 
 
 def _cmd_verify(args) -> tuple:
-    report = run_suite(
-        args.suite,
-        max_p=args.max_p,
-        max_n=args.max_n,
-        max_d=args.max_d,
-        order=args.order,
-    )
+    report = run_suite(**_options(args))
     return report.to_json_dict(), None, None, 0 if report.ok else 1
 
 
@@ -169,13 +169,13 @@ def build_parser() -> argparse.ArgumentParser:
             ("--oracle", dict(default="none", choices=["none", "auto"],
                               help="also run the decomposition oracle when one applies")))
 
+    # only the bounds typed reach the namespace; run_suite holds the defaults
     p_verify = sub.add_parser(
-        "verify", help="run a consistency sweep and emit a JSON report")
-    p_verify.add_argument("--suite", default="all", choices=list(SUITE_NAMES))
-    p_verify.add_argument("--max-p", type=int, default=4)
-    p_verify.add_argument("--max-n", type=int, default=6)
-    p_verify.add_argument("--max-d", type=int, default=10)
-    p_verify.add_argument("--order", type=int, default=12)
+        "verify", help="run a consistency sweep and emit a JSON report",
+        argument_default=argparse.SUPPRESS)
+    p_verify.add_argument("--suite", dest="name", default="all", choices=list(SUITE_NAMES))
+    for flag in ("--max-p", "--max-n", "--max-d", "--order"):
+        p_verify.add_argument(flag, type=int)
     p_verify.set_defaults(func=_cmd_verify, format="json")
 
     command("table", _cmd_table,

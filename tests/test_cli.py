@@ -254,6 +254,24 @@ def test_verify_reports_failure_with_exit_one(capsys, monkeypatch):
     assert failure["expected"]["value"] != failure["actual"]["value"]
 
 
+@pytest.mark.parametrize("argv, passed", [
+    (["verify"], {"name": "all"}),
+    (["verify", "--order", "3", "--max-p", "2"], {"name": "all", "order": 3, "max_p": 2}),
+], ids=["no-bounds", "two-bounds"])
+def test_verify_passes_only_typed_bounds(capsys, monkeypatch, argv, passed):
+    # the default bounds are run_suite's own; the CLI states none of them
+    calls = []
+
+    def recorder(*args, **kwargs):
+        calls.append((args, kwargs))
+        return verify_mod.VerificationReport("all")
+
+    monkeypatch.setattr(cli_mod, "run_suite", recorder)
+    code, _, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    assert calls == [((), passed)]
+
+
 def test_invalid_parameters_exit_two(capsys):
     code, out, err = run_cli(capsys, ["chow", "--p", "2", "--n", "1", "--d", "0"])
     assert code == 2
