@@ -23,11 +23,17 @@ The recursive and functional routes fill two module-level tables bottom-up
 in dependency order, so no result depends on Python's recursion limit.  A
 (p, n, d) query costs O(p * (n - p) * d^2) big-integer products the first
 time.  The recursive table keeps every row, so a later query inside a grown
-box is one lookup; the functional table keeps only the top row and right
-column of a box, and rebuilds the inside from them when a later query needs
-it.  As with ``functools.lru_cache``, ``chow_euler_recursive.cache_clear()``
-and ``chow_series.cache_clear()`` empty them.  The 0-cycle point recursion
-keeps no state: it is n running sums, recomputed per call.
+box is one lookup.  The functional table drops Q_{p,n} once Q_{p,n+1} and
+Q_{p+1,n+1}, the two series that may be built from it, hold as many
+coefficients, and rebuilds the inside of a box from what is left when a later
+query needs it.  The rule runs only when one of those two grows: a fresh box
+keeps its top row and right column, but a series asked for directly after
+both already hold as many coefficients stays until one of them grows again.
+So Q_{0,0}, from which no series is built, can stay beside a later box's
+frontier until a larger query regrows Q_{0,1} and Q_{1,1}.  As with
+``functools.lru_cache``, ``chow_euler_recursive.cache_clear()`` and
+``chow_series.cache_clear()`` empty them.  The 0-cycle point recursion keeps
+no state: it is n running sums, recomputed per call.
 """
 
 import threading
@@ -261,7 +267,9 @@ def _grow_functional(cells: dict, a: int, b: int, size: int) -> None:
     # A cell is read only to grow (x, y + 1) and (x + 1, y), and each is
     # rebuilt whole, so it goes once both hold at least as many entries: a
     # fresh box keeps its top row and right column, and a later query
-    # inside it rebuilds the cells it needs from them.
+    # inside it rebuilds the cells it needs from them.  The rule runs only
+    # here, as one of those two grows, so a cell asked for directly after
+    # both already hold as many entries stays until one of them grows again.
     for x, y in (a, b - 1), (a - 1, b):
         if len(cells.get((x, y), ())) <= min(len(cells.get((x, y + 1), ())),
                                               len(cells.get((x + 1, y), ()))):

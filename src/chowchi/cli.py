@@ -81,6 +81,9 @@ def _routes(query: dict, results: list, note: str | None = None) -> tuple:
 
 def _cmd_chow(args) -> tuple:
     params = ChowParams(args.p, args.n, args.d)
+    # Built per call: bench/spans.py rebinds the route names this module
+    # imports to span wrappers, and a table built at import would keep the
+    # unwrapped routes, so every traced chow layer would read zero.
     compute = {
         "closed": chow_euler_closed,
         "recursive": chow_euler_recursive,

@@ -1,5 +1,7 @@
-"""Independent expansion helpers used as oracles by several test modules."""
+"""Helpers shared by several test modules: independent expansion oracles,
+the reset of the two route tables, and a route that lies by one."""
 
+from chowchi.chow import EulerValue, chow_euler_recursive, chow_series
 from chowchi.series import TruncatedSeries, series_geom_pow, series_mul
 
 
@@ -21,3 +23,24 @@ def expand_inv_one_minus_t(a: int, order: int) -> tuple[int, ...]:
     if a >= 0:
         return series_geom_pow(a, order).coeffs
     return one_minus_t_pow(-a, order).coeffs
+
+
+def clear_tables():
+    """Empty the suspension and functional tables of ``chowchi.chow``."""
+    chow_euler_recursive.cache_clear()
+    chow_series.cache_clear()
+
+
+def lie(monkeypatch, module, name, at=None):
+    """Rebind ``module.name``, a route taking ``ChowParams``, to one whose
+    answer is one too large at the (p, n, d) triple ``at``, or at every
+    input when ``at`` is None."""
+    honest = getattr(module, name)
+
+    def lying(params):
+        value = honest(params)
+        if at is None or (params.p, params.n, params.d) == at:
+            return EulerValue(value.chi + 1)
+        return value
+
+    monkeypatch.setattr(module, name, lying)

@@ -1,4 +1,4 @@
-"""Exact binomials and the signed generalization ``sp_euler``."""
+"""Exact binomials."""
 
 import math
 
@@ -7,9 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from chowchi import binomials
 from chowchi.binomials import binomial
-from chowchi.invariants import sp_euler
-
-from oracles import expand_inv_one_minus_t
 
 
 def test_small_values():
@@ -91,31 +88,3 @@ def test_vandermonde_convolution():
             for r in range(17):
                 total = sum(binomial(m, i) * binomial(n, r - i) for i in range(r + 1))
                 assert total == binomial(m + n, r)
-
-
-def test_signed_examples():
-    assert sp_euler(0, 3) == 0
-    assert sp_euler(0, 0) == 1
-    assert sp_euler(-2, 2) == 1
-    assert sp_euler(-2, 1) == -2
-
-
-def test_signed_agrees_with_binomial_for_positive_a():
-    for a in range(1, 17):
-        for k in range(17):
-            assert sp_euler(a, k) == binomial(a + k - 1, k)
-
-
-def test_signed_negative_k_rejected():
-    with pytest.raises(ValueError):
-        sp_euler(3, -1)
-
-
-def test_signed_matches_explicit_series_expansion():
-    # coefficient of t^k in (1-t)^(-a), with the a < 0 side expanded as an
-    # honest polynomial power of (1 - t)
-    for a in range(-8, 9):
-        coeffs = expand_inv_one_minus_t(a, 16)
-        for k in range(17):
-            assert sp_euler(a, k) == coeffs[k], (a, k)
-

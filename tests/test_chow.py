@@ -22,6 +22,8 @@ from chowchi.chow import (
 )
 from chowchi.series import series_coefficient, series_mul
 
+from oracles import clear_tables
+
 
 def test_params_validation():
     with pytest.raises(ValueError, match="^require 0 <= p <= n, got p=2, n=1$"):
@@ -176,11 +178,6 @@ def closed(p, n, d):
     return math.comb(math.comb(n + 1, p + 1) + d - 1, d)
 
 
-def clear_tables():
-    chow_euler_recursive.cache_clear()
-    chow_series.cache_clear()
-
-
 def test_routes_do_not_recurse_in_the_ambient_dimension():
     # n = 1200 is past the default recursion limit of 1000
     clear_tables()
@@ -205,9 +202,11 @@ def route_queries(draw):
 @example([("functional", 4, 9, 10), ("functional", 2, 6, 10)], 0)    # inside
 @example([("functional", 4, 9, 6), ("functional", 4, 9, 15)], 0)     # higher
 @example([("functional", 4, 9, 15), ("functional", 2, 6, 4)], 0)     # lower
+@example([("recursive", 1, 2, 6)], 0)         # an inner row (1, 1) of 7 entries
 def test_tables_answer_any_query_sequence(queries, k):
     # Boxes grow and shrink and orders rise and fall between queries; every
-    # answer is the closed form, and a lower order is a prefix of a higher one.
+    # answer is the closed form, a lower order is a prefix of a higher one,
+    # and every entry either table keeps, read or not, is its closed value.
     clear_tables()
     for kind, p, n, d in queries:
         if kind == "recursive":
@@ -219,6 +218,10 @@ def test_tables_answer_any_query_sequence(queries, k):
             assert s.coeffs == tuple(closed(p, n, e) for e in range(d + 1))
             assert chow_series(p, n, d + k, "functional").coeffs[:d + 1] == s.coeffs
             assert chow_series(p, n, d, "functional") == s
+        for cells in chow._SUSPENSION, chow._FUNCTIONAL:
+            for (a, b), cell in cells.items():     # cell (a, b) is Q_{a,a+b}
+                expected = [closed(a, a + b, e) for e in range(len(cell))]
+                assert list(cell) == expected, (a, b)
 
 
 def test_functional_table_keeps_only_its_frontier():

@@ -10,6 +10,7 @@ import re
 import runpy
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,8 @@ import chowchi
 import chowchi.cli as cli_mod
 import chowchi.verify as verify_mod
 from chowchi.cli import EXIT_BROKEN_PIPE, EXIT_INTERNAL_ERROR, build_parser, main
+
+from oracles import lie
 
 
 def run_cli(capsys, argv):
@@ -36,35 +39,12 @@ def unlimited_int_digits():
         sys.set_int_max_str_digits(limit)
 
 
-def test_chow_all_methods_agree(capsys):
-    code, out, _ = run_cli(
-        capsys, ["chow", "--p", "1", "--n", "2", "--d", "2", "--method", "all"])
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["query"]["subcommand"] == "chow"
-    assert payload["query"]["params"] == {
-        "p": "1", "n": "2", "d": "2", "method": "all"}
-    assert [r["method"] for r in payload["results"]] \
-        == ["closed", "recursive", "series"]
-    assert {r["value"] for r in payload["results"]} == {"6"}
-    assert payload["match"] is True
-
-
 def test_chow_default_method_is_closed(capsys):
     code, out, _ = run_cli(capsys, ["chow", "--p", "3", "--n", "3", "--d", "9"])
     assert code == 0
     payload = json.loads(out)
     assert payload["results"] == [{"method": "closed", "value": "1"}]
     assert "match" not in payload
-
-
-def test_chow_csv_output(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        ["chow", "--p", "1", "--n", "2", "--d", "2",
-         "--method", "all", "--format", "csv"])
-    assert code == 0
-    assert out == "method,value\nclosed,6\nrecursive,6\nseries,6\nmatch,true\n"
 
 
 def test_chow_large_value_survives_json(capsys):
@@ -163,17 +143,6 @@ def test_quaternionic_d1_oracle(capsys):
     assert payload["match"] is True
 
 
-def test_quaternionic_both_oracles_apply(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        ["quaternionic", "--p", "0", "--qn", "3", "--d", "1", "--oracle", "auto"])
-    assert code == 0
-    payload = json.loads(out)
-    assert [r["method"] for r in payload["results"]] \
-        == ["closed", "oracle-p0", "oracle-d1"]
-    assert payload["match"] is True
-
-
 def test_quaternionic_no_oracle_applies(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -210,17 +179,6 @@ def test_table_csv(capsys):
         assert out == expected, argv
 
 
-def test_table_json(capsys):
-    code, out, _ = run_cli(capsys, ["table", "--p", "1", "--n", "3", "--max-d", "2"])
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["rows"] == [
-        {"d": "0", "chi": "1"},
-        {"d": "1", "chi": "6"},
-        {"d": "2", "chi": "21"},
-    ]
-
-
 def test_verify_clean_run(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -233,15 +191,7 @@ def test_verify_clean_run(capsys):
 
 
 def test_verify_reports_failure_with_exit_one(capsys, monkeypatch):
-    honest = verify_mod.chow_euler_closed
-
-    def lying(params):
-        value = honest(params)
-        if (params.p, params.n, params.d) == (1, 2, 2):
-            return type(value)(chi=value.chi + 1)
-        return value
-
-    monkeypatch.setattr(verify_mod, "chow_euler_closed", lying)
+    lie(monkeypatch, verify_mod, "chow_euler_closed", at=(1, 2, 2))
     code, out, _ = run_cli(
         capsys,
         ["verify", "--suite", "recursion",
@@ -404,7 +354,6 @@ def test_main_never_freezes_the_heap(capsys):
 
 
 def test_console_script_is_the_module_entry():
-    tomllib = pytest.importorskip("tomllib")
     import chowchi.__main__ as entry
 
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -414,8 +363,8 @@ def test_console_script_is_the_module_entry():
 
 
 def test_chow_without_a_digit_limit(capsys, monkeypatch):
-    # Python 3.10.0-3.10.6 has no int-to-str digit limit; the renderer reads
-    # no limit API, so the CLI runs the same without one
+    # no chowchi code reads the int-to-str digit limit, so the CLI runs the
+    # same with the limit API gone
     monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
     assert run_cli(capsys, ["chow", "--p", "1", "--n", "2", "--d", "2", "--format", "csv"]) \
         == (0, "method,value\nclosed,6\n", "")
@@ -609,13 +558,7 @@ def test_golden_verify_stdout(capsys, argv, cases):
 
 
 def test_golden_mismatch_stdout(capsys, monkeypatch):
-    honest = cli_mod.chow_euler_recursive
-
-    def lying(params):
-        value = honest(params)
-        return type(value)(chi=value.chi + 1)
-
-    monkeypatch.setattr(cli_mod, "chow_euler_recursive", lying)
+    lie(monkeypatch, cli_mod, "chow_euler_recursive")
     argv, _ = GOLDEN["chow-json"]
     assert run_cli(capsys, argv) == (
         1, _CHOW_ALL_QUERY + _RESULTS_6 % ("recursive", "7", "series", "false"), "")

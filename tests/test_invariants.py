@@ -122,20 +122,23 @@ def test_sp_euler_examples():
     assert sp_euler(0, 4) == 0
     assert sp_euler(3, 2) == 6
     assert sp_euler(-2, 2) == 1
+    assert sp_euler(-2, 1) == -2
     assert sp_euler(1, 7) == 1
 
 
 def test_sp_euler_of_projective_space():
-    for n in range(7):
-        for d in range(11):
+    for n in range(16):
+        for d in range(17):
             assert sp_euler(n + 1, d) == binomial(n + d, d)
 
 
 def test_sp_euler_matches_series_expansion():
-    for chi in range(-6, 13):
-        coeffs = expand_inv_one_minus_t(chi, 12)
-        for d in range(13):
-            assert sp_euler(chi, d) == coeffs[d]
+    # coefficient of t^d in (1-t)^(-chi), with the chi < 0 side expanded as
+    # an honest polynomial power of (1 - t)
+    for chi in range(-8, 13):
+        coeffs = expand_inv_one_minus_t(chi, 16)
+        for d in range(17):
+            assert sp_euler(chi, d) == coeffs[d], (chi, d)
 
 
 def test_sp_euler_at_large_degree():

@@ -21,13 +21,10 @@ from chowchi.chow import (
 )
 from chowchi.invariants import QuaternionicParams, quaternionic_euler_closed, sp_euler
 
+from oracles import clear_tables
+
 ROUNDS = 6
 SLACK = 4096    # bytes
-
-
-def clear_tables():
-    chow_euler_recursive.cache_clear()
-    chow_series.cache_clear()
 
 
 def one_round(clearing):

@@ -16,43 +16,15 @@ from chowchi.chow import ChowParams, EulerValue, chow_euler_closed
 from chowchi.series import TruncatedSeries, series_mul
 from chowchi.verify import SUITE_NAMES, VerificationReport, run_suite
 
+from oracles import clear_tables, lie
+
 
 def test_suite_names_cover_dispatch():
     for name in SUITE_NAMES:
         report = run_suite(name, max_p=2, max_n=3, max_d=4, order=6)
+        assert report.suite == name
         assert report.ok
         assert report.cases_run > 0
-
-
-def test_recursion_suite_small():
-    report = run_suite("recursion", max_p=2, max_n=3, max_d=4, order=6)
-    assert report.ok
-    assert report.suite == "recursion"
-    assert report.failures == []
-
-
-def test_base_cases_suite_small():
-    report = run_suite("base-cases", max_p=2, max_n=3, max_d=4, order=6)
-    assert report.ok
-    assert report.cases_run == 4 * 5
-
-
-def test_series_suite_small():
-    report = run_suite("series", max_p=2, max_n=3, max_d=4, order=6)
-    assert report.ok
-
-
-def test_quaternionic_suite_small():
-    report = run_suite("quaternionic", max_p=2, max_n=3, max_d=4, order=6)
-    assert report.ok
-
-
-def test_all_suites_aggregates():
-    combined = run_suite("all", max_p=2, max_n=3, max_d=4, order=6)
-    parts = [run_suite(name, max_p=2, max_n=3, max_d=4, order=6)
-             for name in ("recursion", "base-cases", "series", "quaternionic")]
-    assert combined.cases_run == sum(part.cases_run for part in parts)
-    assert combined.ok
 
 
 def test_run_suite_rejects_unknown_name():
@@ -96,15 +68,7 @@ def test_report_check_records_failure():
 
 
 def test_recursion_suite_catches_lying_closed_form(monkeypatch):
-    honest = chow_euler_closed
-
-    def lying(params):
-        value = honest(params)
-        if (params.p, params.n, params.d) == (1, 2, 2):
-            return type(value)(chi=value.chi + 1)
-        return value
-
-    monkeypatch.setattr(verify_mod, "chow_euler_closed", lying)
+    lie(monkeypatch, verify_mod, "chow_euler_closed", at=(1, 2, 2))
     report = run_suite("recursion", max_p=2, max_n=3, max_d=4, order=6)
     assert not report.ok
     assert len(report.failures) > 0
@@ -127,15 +91,7 @@ def test_lying_path_does_not_leak(monkeypatch):
 
 
 def test_all_labels_failures_with_their_suite(monkeypatch):
-    honest = chow_euler_closed
-
-    def lying(params):
-        value = honest(params)
-        if (params.p, params.n, params.d) == (1, 2, 2):
-            return type(value)(chi=value.chi + 1)
-        return value
-
-    monkeypatch.setattr(verify_mod, "chow_euler_closed", lying)
+    lie(monkeypatch, verify_mod, "chow_euler_closed", at=(1, 2, 2))
     failures = run_suite("all", 2, 3, 4, 6).to_json_dict()["failures"]
 
     def entry(suite, check, inputs, expected, actual):
@@ -155,15 +111,7 @@ def test_all_labels_failures_with_their_suite(monkeypatch):
 
 
 def test_divisor_space_catches_a_lying_recursion(monkeypatch):
-    honest = verify_mod.chow_euler_recursive
-
-    def lying(params):
-        value = honest(params)
-        if (params.p, params.n, params.d) == (1, 2, 2):
-            return type(value)(chi=value.chi + 1)
-        return value
-
-    monkeypatch.setattr(verify_mod, "chow_euler_recursive", lying)
+    lie(monkeypatch, verify_mod, "chow_euler_recursive", at=(1, 2, 2))
     failures = run_suite("recursion", 2, 3, 4, 6).to_json_dict()["failures"]
     assert {"inputs": {"check": "divisor-space", "p": "1", "d": "2"},
             "expected": {"path": "monomial-count", "value": "6"},
@@ -274,11 +222,6 @@ def test_base_cases_catch_a_lying_point_recursion(monkeypatch):
         "expected": {"path": "binomial", "value": "10"},
         "actual": {"path": "points-recursive", "value": "11"},
     }]
-
-
-def clear_tables():
-    chow.chow_euler_recursive.cache_clear()
-    chow.chow_series.cache_clear()
 
 
 def test_functional_factorization_catches_a_product_both_sides_share(monkeypatch):
