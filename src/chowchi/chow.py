@@ -4,8 +4,8 @@ C_{p,d}(P^n) is the Chow variety of effective algebraic p-cycles of degree d
 in complex projective n-space.  Its Euler characteristic is computed here by
 three routes:
 
-* ``chow_euler_closed``: the Lawson-Yau formula C(v + d - 1, d) with
-  v = C(n+1, p+1);
+* ``chow_euler_closed``: the Lawson-Yau formula ``sp_euler(v, d)``, the
+  0-cycle count of v = C(n+1, p+1) points;
 * ``chow_euler_recursive``: the suspension recursion, which descends in the
   ambient dimension and is seeded only by its stated base cases;
 * ``chow_series`` (functional method): coefficients of the generating
@@ -51,6 +51,7 @@ __all__ = [
     "SERIES_CLOSED",
     "SERIES_FUNCTIONAL",
     "v_pn",
+    "sp_euler",
     "chow_euler_closed",
     "chow_euler_recursive",
     "chow_euler_series",
@@ -120,20 +121,44 @@ def v_pn(p: int, n: int) -> int:
     return binomial(n + 1, p + 1)
 
 
-def chow_euler_closed(params: ChowParams) -> EulerValue:
-    """chi(C_{p,d}(P^n)) by the Lawson-Yau closed form C(v + d - 1, d).
+def sp_euler(chi: int, d: int) -> int:
+    """chi of the d-fold symmetric product of a space with Euler characteristic chi.
 
-    The identical number is the l-adic Euler-Poincare characteristic of the
-    cycle space over any algebraically closed field, so this one function
-    serves both readings; there is no separate l-adic code path.
+    By the Macdonald formula this is the coefficient of t^d in (1-t)^(-chi),
+    the generalized binomial C(chi + d - 1, d), for every integer chi: for
+    chi <= 0 the reflection (-1)^d C(-chi, d).  SP^0 of anything is a point.
+
+    >>> sp_euler(0, 4)
+    0
+    >>> sp_euler(0, 0)
+    1
+    >>> sp_euler(3, 2)     # SP^2 of the projective plane
+    6
+    >>> sp_euler(-2, 2)    # (1-t)^2 = 1 - 2t + t^2
+    1
+    """
+    if d < 0:
+        raise ValueError(f"d must be nonnegative, got {d}")
+    if chi > 0:
+        return binomial(chi + d - 1, d)
+    c = binomial(-chi, d)
+    return -c if d & 1 else c
+
+
+def chow_euler_closed(params: ChowParams) -> EulerValue:
+    """chi(C_{p,d}(P^n)) by the Lawson-Yau closed form ``sp_euler(v, d)``.
+
+    It counts the torus-fixed cycles, the degree-d multisets of the
+    v = C(n+1, p+1) coordinate p-planes.  The same number is the l-adic
+    Euler-Poincare characteristic over any algebraically closed field, so
+    there is no separate l-adic code path.
 
     >>> chow_euler_closed(ChowParams(0, 2, 2)).chi
     6
     >>> chow_euler_closed(ChowParams(3, 3, 9)).chi   # one cycle per degree
     1
     """
-    chi = binomial(v_pn(params.p, params.n) + params.d - 1, params.d)
-    return EulerValue(chi)
+    return EulerValue(sp_euler(v_pn(params.p, params.n), params.d))
 
 
 # Both tables are dicts of cells (a, b) = (p, n - p), a, b >= 0.  An inner

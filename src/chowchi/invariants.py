@@ -13,7 +13,7 @@ from operator import index
 
 from ._record import Record, field_setters
 from .binomials import binomial
-from .chow import ChowParams, v_pn
+from .chow import ChowParams, sp_euler, v_pn
 
 __all__ = [
     "QuaternionicParams",
@@ -21,7 +21,6 @@ __all__ = [
     "quaternionic_euler_closed",
     "quaternionic_p0_oracle",
     "quaternionic_d1_oracle",
-    "sp_euler",
 ]
 
 
@@ -59,8 +58,8 @@ def g_invariant_euler(params: ChowParams) -> int:
 
     The count does not depend on which diagonalizable group acts: it is
     ``sp_euler(v, d)``, the number of degree-d multisets of the
-    v = C(n+1, p+1) torus-fixed coordinate p-planes, which is the
-    unconstrained value C(v + d - 1, d).  Diagonalizability is a caller
+    v = C(n+1, p+1) torus-fixed coordinate p-planes, exactly the
+    unconstrained ``chow_euler_closed``.  Diagonalizability is a caller
     obligation; the representation itself is not modeled.  The count also
     satisfies the same suspension recursion as the plain cycle spaces, which
     ``chow_euler_recursive`` exercises.
@@ -74,7 +73,7 @@ def g_invariant_euler(params: ChowParams) -> int:
 
 
 def quaternionic_euler_closed(params: QuaternionicParams) -> int:
-    """chi(C_{p,d}(n)) = C(C(2n, p+1) + d - 1, d) for right quaternionic cycles.
+    """chi(C_{p,d}(n)) = sp_euler(C(2n, p+1), d) for right quaternionic cycles.
 
     Equal to chi(C_{p,d}(P^{2n-1})): the involution is induced by a
     diagonalizable linear map, so fixing by it does not change the count,
@@ -134,27 +133,3 @@ def quaternionic_d1_oracle(p: int, n: int) -> int:
     if not 0 <= p <= 2 * n - 1:
         raise ValueError(f"require 0 <= p <= 2n-1, got p={p} with n={n}")
     return sum(binomial(n, i) * binomial(n, p + 1 - i) for i in range(p + 2))
-
-
-def sp_euler(chi: int, d: int) -> int:
-    """chi of the d-fold symmetric product of a space with Euler characteristic chi.
-
-    By the Macdonald formula this is the coefficient of t^d in (1-t)^(-chi),
-    the generalized binomial C(chi + d - 1, d), for every integer chi: for
-    chi <= 0 the reflection (-1)^d C(-chi, d).  SP^0 of anything is a point.
-
-    >>> sp_euler(0, 4)
-    0
-    >>> sp_euler(0, 0)
-    1
-    >>> sp_euler(3, 2)     # SP^2 of the projective plane
-    6
-    >>> sp_euler(-2, 2)    # (1-t)^2 = 1 - 2t + t^2
-    1
-    """
-    if d < 0:
-        raise ValueError(f"d must be nonnegative, got {d}")
-    if chi > 0:
-        return binomial(chi + d - 1, d)
-    c = binomial(-chi, d)
-    return -c if d & 1 else c

@@ -17,13 +17,13 @@ from chowchi.chow import (
     chow_series,
     divisor_check,
     points_euler_recursive,
+    sp_euler,
 )
 from chowchi.invariants import (
     QuaternionicParams,
     g_invariant_euler,
     quaternionic_euler_closed,
     quaternionic_p0_oracle,
-    sp_euler,
 )
 from chowchi.series import series_coefficient, series_geom_pow, series_mul
 

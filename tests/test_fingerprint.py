@@ -26,9 +26,9 @@ from pathlib import Path
 from unittest import mock
 
 from chowchi.cli import main
+from chowchi.verify import SUITE_NAMES
 
 FINGERPRINTS = Path(__file__).with_name("cli_fingerprints.txt")
-SUITES = ("recursion", "series", "quaternionic", "base-cases", "all")
 _ELAPSED = re.compile(r'"elapsed_ms": "\d+"')
 
 FIXED = [
@@ -39,7 +39,7 @@ FIXED = [
     # verify: no flags, each suite, partial and reordered bounds, bad bounds
     ["verify"],
     *(["verify", "--suite", suite, "--max-p", "2", "--max-n", "3",
-       "--max-d", "3", "--order", "4"] for suite in SUITES),
+       "--max-d", "3", "--order", "4"] for suite in SUITE_NAMES),
     ["verify", "--max-n", "2", "--max-d", "2"],
     ["verify", "--suite", "series", "--order", "5"],
     ["verify", "--order", "3", "--max-d", "2", "--max-n", "3", "--max-p", "1"],
@@ -108,7 +108,7 @@ def _random_commands(rng: random.Random) -> list[list[str]]:
                   ("--max-d", str(rng.randint(0, 5))), ("--order", str(rng.randint(0, 6)))]
         options = rng.sample(bounds, rng.randint(0, 4))
         if rng.random() < 0.6:
-            options.append(("--suite", rng.choice(SUITES)))
+            options.append(("--suite", rng.choice(SUITE_NAMES)))
         commands.append(command("verify", *options))
     with_options = [argv for argv in commands if len(argv) > 1]
     for _ in range(40):

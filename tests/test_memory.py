@@ -18,8 +18,9 @@ from chowchi.chow import (
     chow_euler_recursive,
     chow_series,
     points_euler_recursive,
+    sp_euler,
 )
-from chowchi.invariants import QuaternionicParams, quaternionic_euler_closed, sp_euler
+from chowchi.invariants import QuaternionicParams, quaternionic_euler_closed
 
 from oracles import clear_tables
 

@@ -6,8 +6,8 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from chowchi.chow import ChowParams, EulerValue
-from chowchi.invariants import QuaternionicParams, sp_euler
+from chowchi.chow import ChowParams, EulerValue, sp_euler
+from chowchi.invariants import QuaternionicParams
 from chowchi.series import (
     TruncatedSeries,
     series_coefficient,

@@ -110,6 +110,20 @@ def test_all_labels_failures_with_their_suite(monkeypatch):
         assert list(failure["inputs"])[:2] == ["suite", "check"]
 
 
+def test_recursion_suite_catches_sp_euler_at_large_chi(monkeypatch):
+    # the closed route reads sp_euler, so both convolution routes meet it at
+    # every grid v, not only the identity checks of the quaternionic suite
+    honest = chow.sp_euler
+
+    def lying(chi, d):
+        return honest(chi, d) + (chi >= 30 and d >= 2)
+
+    for module in (chow, invariants, verify_mod):
+        monkeypatch.setattr(module, "sp_euler", lying)
+    checks = Counter(f["inputs"]["check"] for f in run_suite("recursion").failures)
+    assert checks == {"recursive-vs-closed": 18, "series-vs-closed": 18}
+
+
 def test_divisor_space_catches_a_lying_recursion(monkeypatch):
     lie(monkeypatch, verify_mod, "chow_euler_recursive", at=(1, 2, 2))
     failures = run_suite("recursion", 2, 3, 4, 6).to_json_dict()["failures"]
