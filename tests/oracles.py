@@ -1,5 +1,8 @@
 """Helpers shared by several test modules: independent expansion oracles,
-the reset of the two route tables, and a route that lies by one."""
+the reset of the two route tables, and planted defects."""
+
+import functools
+import sys
 
 from chowchi.chow import EulerValue, chow_euler_recursive, chow_series
 from chowchi.series import TruncatedSeries, series_geom_pow, series_mul
@@ -31,16 +34,26 @@ def clear_tables():
     chow_series.cache_clear()
 
 
-def lie(monkeypatch, module, name, at=None):
-    """Rebind ``module.name``, a route taking ``ChowParams``, to one whose
-    answer is one too large at the (p, n, d) triple ``at``, or at every
-    input when ``at`` is None."""
-    honest = getattr(module, name)
+def plant(monkeypatch, fn, wrong):
+    """Rebind ``fn`` to ``wrong`` in every loaded chowchi module, the package
+    included; ``wrong`` takes ``fn``'s attributes, ``cache_clear`` too."""
+    wrong = functools.wraps(fn)(wrong)
+    bound = [(module, name) for key, module in list(sys.modules.items())
+             if key.partition(".")[0] == "chowchi"
+             for name, value in vars(module).items() if value is fn]
+    assert bound, fn
+    for module, name in bound:
+        monkeypatch.setattr(module, name, wrong)
 
-    def lying(params):
-        value = honest(params)
-        if at is None or (params.p, params.n, params.d) == at:
-            return EulerValue(value.chi + 1)
-        return value
 
-    monkeypatch.setattr(module, name, lying)
+def one_too_large(fn, at=lambda *args, **kwargs: True):
+    """``fn`` answering one too large wherever ``at`` holds of its arguments:
+    an int or ``EulerValue`` by one, a ``TruncatedSeries`` in its last term."""
+    def wrong(*args, **kwargs):
+        value = fn(*args, **kwargs)
+        if not at(*args, **kwargs):
+            return value
+        if isinstance(value, TruncatedSeries):
+            return TruncatedSeries(value.coeffs[:-1] + (value.coeffs[-1] + 1,))
+        return EulerValue(value.chi + 1) if isinstance(value, EulerValue) else value + 1
+    return wrong

@@ -162,11 +162,18 @@ def test_routes_do_not_recurse_in_the_ambient_dimension():
     assert points_euler_recursive(1200, 3) == math.comb(1203, 3)
 
 
+# a clear step empties one table or both
+_CLEARS = {"recursive": (chow_euler_recursive,), "functional": (chow_series,),
+           "both": (chow_euler_recursive, chow_series)}
+
+
 @st.composite
 def route_queries(draw):
+    kind = draw(st.sampled_from(["recursive", "points", "functional", "clear"]))
+    if kind == "clear":
+        return kind, draw(st.sampled_from(sorted(_CLEARS)))
     n = draw(st.integers(0, 9))
     p = draw(st.integers(0, n))
-    kind = draw(st.sampled_from(["recursive", "points", "functional"]))
     return kind, p, n, draw(st.integers(0, 24))
 
 
@@ -178,17 +185,26 @@ def route_queries(draw):
 @example([("functional", 4, 9, 6), ("functional", 4, 9, 15)], 0)     # higher
 @example([("functional", 4, 9, 15), ("functional", 2, 6, 4)], 0)     # lower
 @example([("recursive", 1, 2, 6)], 0)         # an inner row (1, 1) of 7 entries
+@example([("functional", 4, 9, 10), ("clear", "functional"),
+          ("functional", 2, 6, 8)], 0)        # inside, after a clear
 def test_tables_answer_any_query_sequence(queries, k):
-    # Boxes grow and shrink and orders rise and fall between queries; every
-    # answer is the closed form, a lower order is a prefix of a higher one,
-    # and every entry either table keeps, read or not, is its closed value.
+    # Boxes grow and shrink, orders rise and fall and tables are emptied
+    # between queries; every answer is the closed form, a lower order is a
+    # prefix of a higher one, and every entry either table keeps, read or
+    # not, is its closed value.
     clear_tables()
-    for kind, p, n, d in queries:
-        if kind == "recursive":
+    for kind, *args in queries:
+        if kind == "clear":
+            for route in _CLEARS[args[0]]:
+                route.cache_clear()
+        elif kind == "recursive":
+            p, n, d = args
             assert chow_euler_recursive(ChowParams(p, n, d)).chi == closed(p, n, d)
         elif kind == "points":
+            _, n, d = args
             assert points_euler_recursive(n, d) == math.comb(n + d, d)
         else:
+            p, n, d = args
             s = chow_series(p, n, d, "functional")
             assert s.coeffs == tuple(closed(p, n, e) for e in range(d + 1))
             assert chow_series(p, n, d + k, "functional").coeffs[:d + 1] == s.coeffs

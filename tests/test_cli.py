@@ -18,9 +18,10 @@ import pytest
 import chowchi
 import chowchi.cli as cli_mod
 import chowchi.verify as verify_mod
+from chowchi.chow import chow_euler_closed, chow_euler_recursive
 from chowchi.cli import EXIT_BROKEN_PIPE, EXIT_INTERNAL_ERROR, build_parser, main
 
-from oracles import lie
+from oracles import one_too_large, plant
 
 
 def run_cli(capsys, argv):
@@ -191,7 +192,8 @@ def test_verify_clean_run(capsys):
 
 
 def test_verify_reports_failure_with_exit_one(capsys, monkeypatch):
-    lie(monkeypatch, verify_mod, "chow_euler_closed", at=(1, 2, 2))
+    plant(monkeypatch, chow_euler_closed, one_too_large(
+        chow_euler_closed, lambda params: (params.p, params.n, params.d) == (1, 2, 2)))
     code, out, _ = run_cli(
         capsys,
         ["verify", "--suite", "recursion",
@@ -244,7 +246,7 @@ def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch, exc):
     def broken(params):
         raise exc
 
-    monkeypatch.setattr(cli_mod, "chow_euler_closed", broken)
+    plant(monkeypatch, chow_euler_closed, broken)
     code, out, err = run_cli(capsys, ["chow", "--p", "1", "--n", "2", "--d", "2"])
     assert code == EXIT_INTERNAL_ERROR == 70
     assert out == ""
@@ -558,7 +560,7 @@ def test_golden_verify_stdout(capsys, argv, cases):
 
 
 def test_golden_mismatch_stdout(capsys, monkeypatch):
-    lie(monkeypatch, cli_mod, "chow_euler_recursive")
+    plant(monkeypatch, chow_euler_recursive, one_too_large(chow_euler_recursive))
     argv, _ = GOLDEN["chow-json"]
     assert run_cli(capsys, argv) == (
         1, _CHOW_ALL_QUERY + _RESULTS_6 % ("recursive", "7", "series", "false"), "")

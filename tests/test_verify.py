@@ -13,10 +13,9 @@ import chowchi
 import chowchi.verify as verify_mod
 from chowchi import binomials, chow, cli, invariants, series
 from chowchi.chow import ChowParams, EulerValue, chow_euler_closed
-from chowchi.series import TruncatedSeries, series_mul
 from chowchi.verify import SUITE_NAMES, VerificationReport, run_suite
 
-from oracles import clear_tables, lie
+from oracles import clear_tables, one_too_large, plant
 
 
 def test_suite_names_cover_dispatch():
@@ -67,94 +66,178 @@ def test_report_check_records_failure():
         hash(fresh)     # mutable, so unhashable
 
 
-def test_recursion_suite_catches_lying_closed_form(monkeypatch):
-    lie(monkeypatch, verify_mod, "chow_euler_closed", at=(1, 2, 2))
-    report = run_suite("recursion", max_p=2, max_n=3, max_d=4, order=6)
-    assert not report.ok
-    assert len(report.failures) > 0
-    failure = report.failures[0]
-    assert failure["inputs"]["p"] == "1"
-    assert failure["inputs"]["n"] == "2"
-    assert failure["inputs"]["d"] == "2"
-    assert failure["expected"]["value"] != failure["actual"]["value"]
-    payload = report.to_json_dict()
-    entry = payload["failures"][0]
-    assert set(entry) == {"inputs", "expected", "actual"}
-    assert set(entry["expected"]) == {"path", "value"}
+def _entry(suite, check, inputs, expected, actual):
+    """An ``all`` report's failure entry; each side is a (path, value) pair."""
+    return {"inputs": {"suite": suite, "check": check, **inputs},
+            "expected": dict(zip(("path", "value"), expected)),
+            "actual": dict(zip(("path", "value"), actual))}
 
 
-def test_lying_path_does_not_leak(monkeypatch):
-    # The monkeypatch above must not poison later honest runs.
+def _at(*pnd):
+    """A route's inputs, ChowParams or QuaternionicParams, at (p, n, d)."""
+    return lambda params: (params.p, params.n, params.d) == pnd
+
+
+def _grown_one_too_large(grow, cell):
+    """A table grower that leaves the last entry of ``cell`` one too large."""
+    def wrong(cells, a, b, size):
+        grow(cells, a, b, size)
+        if (a, b) == cell:
+            kept = cells[a, b]
+            cells[a, b] = type(kept)([*kept[:-1], kept[-1] + 1])
+    return wrong
+
+
+def _defect(fn, at, caught, entry=None, build=one_too_large):
+    return fn, build(fn, at), Counter(caught), entry
+
+
+_PND = {"p": "1", "n": "2", "d": "2"}
+_Q12 = "(1, 3, 6, 10, 15, 21, 28, 36, 45, 55, 66, 78, %d)"   # Q_{1,2} at order 12
+
+# The kill matrix: one planted off-by-one per row, the exact Counter of checks
+# that then fail under run_suite("all") at the default bounds, and one exact
+# failure entry where its shape is pinned.  A changed row means a check
+# gained or lost coverage; "none" is the honest run.
+_KILLS = {
+    "binomial-at-7-3": _defect(binomials.binomial, lambda n, k: (n, k) == (7, 3), {
+        "recursive-vs-closed": 27, "series-vs-closed": 12, "pascal-at-degree-one": 2,
+        "divisor-space": 1, "series-factorization": 4, "signed-binomial-vs-series": 1,
+        "p0-oracle": 8, "points-recursion": 1}),
+    "binomial-at-k2-n20-up": _defect(
+        binomials.binomial, lambda n, k: k == 2 and n >= 20,
+        {"recursive-vs-closed": 5, "series-vs-closed": 5, "ambient-match": 22}),
+    # every k in verify is at most 60, so the window method never runs
+    "window-binomial": _defect(binomials._window_binomial, lambda n, k: True, {}),
+    "v_pn-at-1-3": _defect(chow.v_pn, lambda p, n: (p, n) == (1, 3), {
+        "recursive-vs-closed": 10, "series-vs-closed": 10, "series-factorization": 4,
+        "d1-oracle": 1}),
+    "sp_euler-at-chi30-d2-up": _defect(
+        chow.sp_euler, lambda chi, d: chi >= 30 and d >= 2,
+        {"recursive-vs-closed": 18, "series-vs-closed": 18, "ambient-match": 171}),
+    # no check calls sp_euler with chi < 0
+    "sp_euler-at-negative-chi": _defect(chow.sp_euler, lambda chi, d: chi < 0, {}),
+    # the functional table multiplies with series_mul too; its factorization
+    # check meets the closed series, not a second product of the same cells
+    "series_mul": _defect(
+        series.series_mul, lambda a, b: True,
+        {"geom-pow-additivity": 289, "series-factorization": 42},
+        _entry("series", "series-factorization",
+               {"p": "0", "n": "1", "order": "12", "method": "functional"},
+               ("closed-series", _Q12 % 91), ("functional", _Q12 % 92))),
+    "series_geom_pow-at-m3": _defect(
+        series.series_geom_pow, lambda m, order: m == 3,
+        {"geom-pow-additivity": 33, "series-factorization": 19,
+         "signed-binomial-vs-series": 1}),
+    "series_coefficient-at-d2": _defect(
+        series.series_coefficient, lambda s, d: d == 2,
+        {"series-vs-closed": 25, "signed-binomial-vs-series": 17}),
+    "points_euler_recursive-at-2-3": _defect(
+        chow.points_euler_recursive, lambda n, d: (n, d) == (2, 3),
+        {"points-recursion": 1}),
+    "divisor_check-at-1-2": _defect(
+        chow.divisor_check, lambda p, d: (p, d) == (1, 2), {"divisor-space": 1}),
+    "quaternionic_p0_oracle-at-2-3": _defect(
+        invariants.quaternionic_p0_oracle, lambda n, d: (n, d) == (2, 3),
+        {"p0-oracle": 1}),
+    "quaternionic_d1_oracle-at-1-2": _defect(
+        invariants.quaternionic_d1_oracle, lambda p, n: (p, n) == (1, 2),
+        {"d1-oracle": 1, "d1-vandermonde": 1}),
+    "chow_euler_closed-at-1-2-2": _defect(
+        chow.chow_euler_closed, _at(1, 2, 2),
+        {"recursive-vs-closed": 1, "series-vs-closed": 1, "group-invariant-match": 1},
+        _entry("recursion", "recursive-vs-closed", _PND,
+               ("closed", "7"), ("recursive", "6"))),
+    # past max_p = 4: only group-invariant-match reaches it
+    "chow_euler_closed-at-5-6-2": _defect(
+        chow.chow_euler_closed, _at(5, 6, 2), {"group-invariant-match": 1}),
+    "chow_euler_recursive-at-1-2-2": _defect(
+        chow.chow_euler_recursive, _at(1, 2, 2),
+        {"recursive-vs-closed": 1, "divisor-space": 1},
+        _entry("recursion", "divisor-space", {"p": "1", "d": "2"},
+               ("monomial-count", "6"), ("recursive", "7"))),
+    # the CLI's --method series route: verify reads the functional series
+    # through chow_series and never calls it
+    "chow_euler_series-at-1-3-2": _defect(chow.chow_euler_series, _at(1, 3, 2), {}),
+    "g_invariant_euler-at-2-3-2": _defect(
+        invariants.g_invariant_euler, _at(2, 3, 2), {"group-invariant-match": 1}),
+    "quaternionic_euler_closed-at-1-3-4": _defect(
+        invariants.quaternionic_euler_closed, _at(1, 3, 4), {"ambient-match": 1}),
+    # Q_{1,3} is the ambient series of quaternionic n = 2
+    "chow_series-closed-at-1-3": _defect(
+        chow.chow_series,
+        lambda p, n, order, method="closed": (p, n, method) == (1, 3, "closed"),
+        {"series-factorization": 4, "ambient-match": 1},
+        _entry("quaternionic", "ambient-match", {"p": "1", "n": "2", "d": "10"},
+               ("closed-series", "3004"), ("quaternionic-closed", "3003"))),
+    "suspension-edge-0-2": _defect(chow._grow_suspension, (0, 2),
+                                   {"recursive-vs-closed": 11},
+                                   build=_grown_one_too_large),
+    "suspension-inner-1-1": _defect(chow._grow_suspension, (1, 1),
+                                    {"recursive-vs-closed": 14, "divisor-space": 5},
+                                    build=_grown_one_too_large),
+    "functional-edge-0-2": _defect(chow._grow_functional, (0, 2),
+                                   {"series-factorization": 15},
+                                   build=_grown_one_too_large),
+    "functional-inner-1-2": _defect(chow._grow_functional, (1, 2),
+                                    {"series-factorization": 15},
+                                    build=_grown_one_too_large),
+    "none": (None, None, Counter(), None),
+}
+
+
+@pytest.fixture(scope="module")
+def kill_matrix():
+    """Each row's failing checks and entries; tables are emptied around a row,
+    since a planted grower leaves wrong cells behind."""
+    matrix = {}
+    for name, (fn, wrong, *_) in _KILLS.items():
+        clear_tables()
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                if fn:
+                    plant(mp, fn, wrong)
+                failures = run_suite("all").failures
+        finally:
+            clear_tables()
+        matrix[name] = Counter(f["inputs"]["check"] for f in failures), failures
+    return matrix
+
+
+@pytest.mark.parametrize("defect", list(_KILLS))
+def test_verify_catches_planted_defect(kill_matrix, defect):
+    *_, caught, entry = _KILLS[defect]
+    counts, failures = kill_matrix[defect]
+    matrix = "\n".join(f"{name}: {dict(sorted(c.items()))}"
+                       for name, (c, _) in kill_matrix.items())
+    assert counts == caught, matrix
+    assert entry is None or entry in failures, matrix
+
+
+def test_lying_path_does_not_leak():
+    # No plant above poisons a later honest run.
     report = run_suite("recursion", max_p=2, max_n=3, max_d=4, order=6)
     assert report.ok
     assert chow_euler_closed(ChowParams(1, 2, 2)).chi == 6
 
 
 def test_all_labels_failures_with_their_suite(monkeypatch):
-    lie(monkeypatch, verify_mod, "chow_euler_closed", at=(1, 2, 2))
+    plant(monkeypatch, chow_euler_closed, one_too_large(chow_euler_closed, _at(1, 2, 2)))
     failures = run_suite("all", 2, 3, 4, 6).to_json_dict()["failures"]
-
-    def entry(suite, check, inputs, expected, actual):
-        return {"inputs": {"suite": suite, "check": check, **inputs},
-                "expected": dict(zip(("path", "value"), expected)),
-                "actual": dict(zip(("path", "value"), actual))}
-
-    pnd = {"p": "1", "n": "2", "d": "2"}
     assert failures == [
-        entry("recursion", "recursive-vs-closed", pnd, ("closed", "7"), ("recursive", "6")),
-        entry("recursion", "series-vs-closed", pnd, ("closed", "7"), ("series", "6")),
-        entry("quaternionic", "group-invariant-match", pnd,
-              ("chow-closed", "7"), ("group-invariant", "6")),
+        _entry("recursion", "recursive-vs-closed", _PND, ("closed", "7"), ("recursive", "6")),
+        _entry("recursion", "series-vs-closed", _PND, ("closed", "7"), ("series", "6")),
+        _entry("quaternionic", "group-invariant-match", _PND,
+               ("chow-closed", "7"), ("group-invariant", "6")),
     ]
     for failure in failures:
         assert list(failure["inputs"])[:2] == ["suite", "check"]
 
 
-def test_recursion_suite_catches_sp_euler_at_large_chi(monkeypatch):
-    # the closed route reads sp_euler, so both convolution routes meet it at
-    # every grid v, not only the identity checks of the quaternionic suite
-    honest = chow.sp_euler
-
-    def lying(chi, d):
-        return honest(chi, d) + (chi >= 30 and d >= 2)
-
-    for module in (chow, invariants, verify_mod):
-        monkeypatch.setattr(module, "sp_euler", lying)
-    checks = Counter(f["inputs"]["check"] for f in run_suite("recursion").failures)
-    assert checks == {"recursive-vs-closed": 18, "series-vs-closed": 18}
-
-
-def test_divisor_space_catches_a_lying_recursion(monkeypatch):
-    lie(monkeypatch, verify_mod, "chow_euler_recursive", at=(1, 2, 2))
-    failures = run_suite("recursion", 2, 3, 4, 6).to_json_dict()["failures"]
-    assert {"inputs": {"check": "divisor-space", "p": "1", "d": "2"},
-            "expected": {"path": "monomial-count", "value": "6"},
-            "actual": {"path": "recursive", "value": "7"}} in failures
-
-
-def test_ambient_match_catches_a_wrong_closed_series(monkeypatch):
-    honest = verify_mod.chow_series
-
-    def lying(p, n, order, method="closed"):
-        s = honest(p, n, order, method)
-        if (p, n) == (1, 3):    # Q_{1,3}, the ambient series of quaternionic n = 2
-            return TruncatedSeries(s.coeffs[:2] + (s.coeffs[2] + 1,) + s.coeffs[3:])
-        return s
-
-    monkeypatch.setattr(verify_mod, "chow_series", lying)
-    failures = run_suite("quaternionic", 2, 3, 4, 6).to_json_dict()["failures"]
-    assert failures == [{
-        "inputs": {"check": "ambient-match", "p": "1", "n": "2", "d": "2"},
-        "expected": {"path": "closed-series", "value": "22"},
-        "actual": {"path": "quaternionic-closed", "value": "21"},
-    }]
-
-
 def test_huge_mismatch_renders_under_the_callers_digit_limit(monkeypatch):
     # a library caller keeps the interpreter's int-to-str limit; a value past
     # it must still be reported, and the caller's limit kept
-    monkeypatch.setattr(verify_mod, "chow_euler_recursive",
-                        lambda params: EulerValue(10**5000))
+    plant(monkeypatch, chow.chow_euler_recursive, lambda params: EulerValue(10**5000))
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4321)
     try:
@@ -236,27 +319,6 @@ def test_base_cases_catch_a_lying_point_recursion(monkeypatch):
         "expected": {"path": "binomial", "value": "10"},
         "actual": {"path": "points-recursive", "value": "11"},
     }]
-
-
-def test_functional_factorization_catches_a_product_both_sides_share(monkeypatch):
-    # The functional table multiplies with chow.series_mul; a check that
-    # multiplied the same two cells again would agree with any product.
-    def wrong(a, b):
-        s = series_mul(a, b)
-        return TruncatedSeries(s.coeffs[:-1] + (s.coeffs[-1] + 1,))
-
-    monkeypatch.setattr(chow, "series_mul", wrong)
-    monkeypatch.setattr(verify_mod, "series_mul", wrong)
-    clear_tables()
-    try:
-        report = run_suite("series", 2, 3, 4, 6)
-    finally:
-        clear_tables()
-    functional = [(f["inputs"]["p"], f["inputs"]["n"],
-                   f["expected"]["path"], f["actual"]["path"])
-                  for f in report.failures if f["inputs"].get("method") == "functional"]
-    assert functional == [(str(p), str(n), "closed-series", "functional")
-                          for n in range(1, 4) for p in range(n)]
 
 
 def test_each_case_computes_each_side_once(monkeypatch):
