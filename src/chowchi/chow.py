@@ -23,14 +23,9 @@ The recursive and functional routes fill two module-level tables bottom-up
 in dependency order, so no result depends on Python's recursion limit.  A
 (p, n, d) query costs O(p * (n - p) * d^2) big-integer products the first
 time.  The recursive table keeps every row, so a later query inside a grown
-box is one lookup.  The functional table drops Q_{p,n} once Q_{p,n+1} and
-Q_{p+1,n+1}, the two series that may be built from it, hold as many
-coefficients, and rebuilds the inside of a box from what is left when a later
-query needs it.  The rule runs only when one of those two grows: a fresh box
-keeps its top row and right column, but a series asked for directly after
-both already hold as many coefficients stays until one of them grows again.
-So Q_{0,0}, from which no series is built, can stay beside a later box's
-frontier until a larger query regrows Q_{0,1} and Q_{1,1}.  As with
+box is one lookup.  The functional table keeps only the series that later
+growth may read (``_grow_functional`` states the rule) and rebuilds the
+inside of a box from them when a later query needs it.  As with
 ``functools.lru_cache``, ``chow_euler_recursive.cache_clear()`` and
 ``chow_series.cache_clear()`` empty them.  The 0-cycle point recursion keeps
 no state: it is n running sums, recomputed per call.
@@ -43,7 +38,7 @@ from operator import index, mul
 
 from ._record import Record, field_setters
 from .binomials import binomial
-from .series import TruncatedSeries, series_coefficient, series_geom_pow, series_mul
+from .series import TruncatedSeries, series_geom_pow, series_mul
 
 __all__ = [
     "ChowParams",
@@ -289,12 +284,15 @@ def _grow_functional(cells: dict, a: int, b: int, size: int) -> None:
         s = series_mul(TruncatedSeries(cells[a, b - 1][:size]),
                        TruncatedSeries(cells[a - 1, b][:size]))
     cells[a, b] = s.coeffs
-    # A cell is read only to grow (x, y + 1) and (x + 1, y), and each is
-    # rebuilt whole, so it goes once both hold at least as many entries: a
-    # fresh box keeps its top row and right column, and a later query
-    # inside it rebuilds the cells it needs from them.  The rule runs only
-    # here, as one of those two grows, so a cell asked for directly after
-    # both already hold as many entries stays until one of them grows again.
+    # The release rule of the functional table.  A cell is read only to grow
+    # (x, y + 1) and (x + 1, y), and each is rebuilt whole, so it goes once
+    # both hold at least as many entries: a fresh box keeps its top row and
+    # right column, and a later query inside it rebuilds the cells it needs
+    # from them.  The rule runs only here, as one of those two grows, so a
+    # cell asked for directly after both already hold as many entries stays
+    # until one of them grows again.  So Q_{0,0}, from which no series is
+    # built, can stay beside a later box's frontier until a larger query
+    # regrows Q_{0,1} and Q_{1,1}.
     for x, y in (a, b - 1), (a - 1, b):
         if len(cells.get((x, y), ())) <= min(len(cells.get((x, y + 1), ())),
                                               len(cells.get((x + 1, y), ()))):
@@ -339,14 +337,16 @@ chow_series.cache_clear = _clearer(_FUNCTIONAL)
 def chow_euler_series(params: ChowParams) -> EulerValue:
     """chi(C_{p,d}(P^n)) read off as a functional-equation series coefficient.
 
-    The third route: the degree-d coefficient of the series built by
-    ``chow_series(..., method="functional")`` at order d.
+    The third route: the degree-d coefficient of the series that
+    ``chow_series(..., method="functional")`` builds, read from the same
+    table.
 
     >>> chow_euler_series(ChowParams(1, 3, 2)).chi
     21
     """
-    s = chow_series(params.p, params.n, params.d, SERIES_FUNCTIONAL)
-    return EulerValue(series_coefficient(s, params.d))
+    coeffs = _cell(_FUNCTIONAL, _grow_functional,
+                   params.p, params.n - params.p, params.d + 1)
+    return EulerValue(coeffs[params.d])
 
 
 def divisor_check(p: int, d: int) -> int:

@@ -20,6 +20,7 @@ from .chow import (
     SERIES_FUNCTIONAL,
     chow_euler_closed,
     chow_euler_recursive,
+    chow_euler_series,
     chow_series,
     divisor_check,
     points_euler_recursive,
@@ -32,7 +33,7 @@ from .invariants import (
     quaternionic_euler_closed,
     quaternionic_p0_oracle,
 )
-from .series import series_coefficient, series_geom_pow, series_mul
+from .series import TruncatedSeries, series_coefficient, series_geom_pow, series_mul
 
 __all__ = ["VerificationReport", "SUITE_NAMES", "run_suite"]
 
@@ -121,18 +122,19 @@ _MAX_POW = 16
 def _recursion(check, max_p: int, max_n: int, max_d: int, order: int):
     """Path agreement for chi(C_{p,d}(P^n)), plus the related identities.
 
-    Checks, over p <= min(max_p, n), n <= max_n, d <= max_d: recursion and
-    functional-series coefficients against the closed form, positivity of
+    Checks, over p <= min(max_p, n), n <= max_n, d <= max_d: the recursive
+    and series routes against the closed form, positivity of
     every value, the degree-one Pascal reduction, and the monomial count of
     each divisor space against the suspension recursion at (p, p + 1, d).
     """
     order = max(order, max_d)
     for n in range(max_n + 1):
         for p in range(min(max_p, n) + 1):
-            q = chow_series(p, n, order, method=SERIES_FUNCTIONAL)
-            # grow the suspension row to max_d once, so each degree below
-            # is a lookup instead of a scan of the whole box
+            # grow the suspension row to max_d and the functional cell to
+            # order once, so each degree below is a lookup instead of a scan
+            # of the whole box
             chow_euler_recursive(ChowParams(p, n, max_d))
+            chow_euler_series(ChowParams(p, n, order))
             for d in range(max_d + 1):
                 params = ChowParams(p, n, d)
                 closed = chow_euler_closed(params).chi
@@ -141,7 +143,7 @@ def _recursion(check, max_p: int, max_n: int, max_d: int, order: int):
                       "recursive", chow_euler_recursive(params).chi)
                 check({"check": "series-vs-closed", "p": p, "n": n, "d": d},
                       "closed", closed,
-                      "series", series_coefficient(q, d))
+                      "series", chow_euler_series(params).chi)
                 must_be_one = p == n or d == 0
                 check({"check": "positivity", "p": p, "n": n, "d": d},
                       "invariant", True,
@@ -214,9 +216,9 @@ def _quaternionic(check, max_p: int, max_n: int, max_d: int, order: int):
     identification with the plain cycle spaces of P^{2n-1}, each
     ``math.comb`` value of the quaternionic closed form against the ratio
     recurrence of the closed series Q_{p,2n-1}, one series per (p, n); the
-    invariance of the count under diagonalizable group actions; and the
-    vanishing of symmetric products of a space with Euler characteristic
-    zero.
+    invariance of the count under diagonalizable group actions; and
+    ``sp_euler`` at every chi = -m <= 0, whose series times the geometric
+    power (1/(1-t))^m must be the series 1.
     """
     for n in range(1, max_n + 1):
         for d in range(max_d + 1):
@@ -244,10 +246,13 @@ def _quaternionic(check, max_p: int, max_n: int, max_d: int, order: int):
                 check({"check": "group-invariant-match", "p": p, "n": n, "d": d},
                       "chow-closed", chow_euler_closed(params).chi,
                       "group-invariant", g_invariant_euler(params))
-    for m in range(max(max_d, 20) + 1):
-        check({"check": "sp-of-chi-zero", "m": m},
-              "invariant", 1 if m == 0 else 0,
-              "sp-euler", sp_euler(0, m))
+    top = max(max_d, 20)
+    one = (1,) + (0,) * top
+    for m in range(top + 1):
+        reflected = TruncatedSeries([sp_euler(-m, d) for d in range(top + 1)])
+        check({"check": "sp-at-nonpositive-chi", "m": m, "order": top},
+              "invariant", one,
+              "product", series_mul(series_geom_pow(m, top), reflected).coeffs)
 
 
 # Each suite takes the report's ``check``, calls it once per case, and looks

@@ -1,6 +1,8 @@
 """Helpers shared by several test modules: independent expansion oracles,
-the reset of the two route tables, and planted defects."""
+the reset of the two route tables, planted defects and the int-to-str digit
+limit."""
 
+import contextlib
 import functools
 import sys
 
@@ -32,6 +34,17 @@ def clear_tables():
     """Empty the suspension and functional tables of ``chowchi.chow``."""
     chow_euler_recursive.cache_clear()
     chow_series.cache_clear()
+
+
+@contextlib.contextmanager
+def int_digit_limit(limit: int):
+    """Set the interpreter's int-to-str digit limit, and restore it on exit."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def plant(monkeypatch, fn, wrong):

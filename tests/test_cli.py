@@ -1,6 +1,5 @@
 """End-to-end CLI behaviour through in-process main() calls."""
 
-import contextlib
 import gc
 import importlib
 import json
@@ -21,23 +20,13 @@ import chowchi.verify as verify_mod
 from chowchi.chow import chow_euler_closed, chow_euler_recursive
 from chowchi.cli import EXIT_BROKEN_PIPE, EXIT_INTERNAL_ERROR, build_parser, main
 
-from oracles import one_too_large, plant
+from oracles import int_digit_limit, one_too_large, plant
 
 
 def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-@contextlib.contextmanager
-def unlimited_int_digits():
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 def test_chow_default_method_is_closed(capsys):
@@ -73,7 +62,7 @@ def test_chow_value_over_digit_limit(capsys, monkeypatch):
     assert code == 0
     assert seen == [limit]
     assert sys.get_int_max_str_digits() == limit
-    with unlimited_int_digits():
+    with int_digit_limit(0):
         expected = str(math.comb(math.comb(21, 6) + 9999, 10000))
     assert len(expected) > 4300
     assert json.loads(out)["results"] == [{"method": "closed", "value": expected}]
@@ -84,7 +73,7 @@ def test_table_values_over_digit_limit(capsys):
         capsys, ["table", "--p", "10", "--n", "40", "--max-d", "650", "--format", "csv"])
     assert code == 0
     v = math.comb(41, 11)
-    with unlimited_int_digits():
+    with int_digit_limit(0):
         rows = [f"{d},{math.comb(v + d - 1, d)}" for d in range(651)]
     assert out == "\n".join(["d,chi", *rows]) + "\n"
 

@@ -43,12 +43,6 @@ def test_quaternionic_examples():
     assert quaternionic_euler_closed(QuaternionicParams(1, 2, 2)) == 21
 
 
-def test_p0_oracle_examples():
-    assert quaternionic_p0_oracle(1, 2) == 3
-    assert quaternionic_p0_oracle(2, 0) == 1
-    assert quaternionic_p0_oracle(2, 3) == 20
-
-
 def test_p0_oracle_rejects_bad_range():
     with pytest.raises(ValueError):
         quaternionic_p0_oracle(0, 2)

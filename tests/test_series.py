@@ -75,12 +75,6 @@ def test_equality_only_within_one_type():
     assert TruncatedSeries([1, 2]) != (1, 2)
 
 
-def test_geom_pow_examples():
-    assert series_geom_pow(2, 3).coeffs == (1, 2, 3, 4)
-    assert series_geom_pow(0, 2).coeffs == (1, 0, 0)
-    assert series_geom_pow(6, 2).coeffs == (1, 6, 21)
-
-
 def test_geom_pow_rejects_a_float_exponent():
     # 2.5 would give (1, 2.0, 3.0, 4.0), equal to the series for m = 2
     for m in (2.5, 2.0):

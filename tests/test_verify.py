@@ -15,7 +15,7 @@ from chowchi import binomials, chow, cli, invariants, series
 from chowchi.chow import ChowParams, EulerValue, chow_euler_closed
 from chowchi.verify import SUITE_NAMES, VerificationReport, run_suite
 
-from oracles import clear_tables, one_too_large, plant
+from oracles import clear_tables, int_digit_limit, one_too_large, plant
 
 
 def test_suite_names_cover_dispatch():
@@ -103,10 +103,11 @@ _KILLS = {
     "binomial-at-7-3": _defect(binomials.binomial, lambda n, k: (n, k) == (7, 3), {
         "recursive-vs-closed": 27, "series-vs-closed": 12, "pascal-at-degree-one": 2,
         "divisor-space": 1, "series-factorization": 4, "signed-binomial-vs-series": 1,
-        "p0-oracle": 8, "points-recursion": 1}),
+        "p0-oracle": 8, "sp-at-nonpositive-chi": 1, "points-recursion": 1}),
     "binomial-at-k2-n20-up": _defect(
         binomials.binomial, lambda n, k: k == 2 and n >= 20,
-        {"recursive-vs-closed": 5, "series-vs-closed": 5, "ambient-match": 22}),
+        {"recursive-vs-closed": 5, "series-vs-closed": 5, "ambient-match": 22,
+         "sp-at-nonpositive-chi": 1}),
     # every k in verify is at most 60, so the window method never runs
     "window-binomial": _defect(binomials._window_binomial, lambda n, k: True, {}),
     "v_pn-at-1-3": _defect(chow.v_pn, lambda p, n: (p, n) == (1, 3), {
@@ -115,23 +116,26 @@ _KILLS = {
     "sp_euler-at-chi30-d2-up": _defect(
         chow.sp_euler, lambda chi, d: chi >= 30 and d >= 2,
         {"recursive-vs-closed": 18, "series-vs-closed": 18, "ambient-match": 171}),
-    # no check calls sp_euler with chi < 0
-    "sp_euler-at-negative-chi": _defect(chow.sp_euler, lambda chi, d: chi < 0, {}),
+    "sp_euler-at-negative-chi": _defect(
+        chow.sp_euler, lambda chi, d: chi < 0, {"sp-at-nonpositive-chi": 20}),
+    "sp_euler-at-chi0-d15": _defect(
+        chow.sp_euler, lambda chi, d: (chi, d) == (0, 15), {"sp-at-nonpositive-chi": 1}),
     # the functional table multiplies with series_mul too; its factorization
     # check meets the closed series, not a second product of the same cells
     "series_mul": _defect(
         series.series_mul, lambda a, b: True,
-        {"geom-pow-additivity": 289, "series-factorization": 42},
+        {"geom-pow-additivity": 289, "series-factorization": 42,
+         "sp-at-nonpositive-chi": 21},
         _entry("series", "series-factorization",
                {"p": "0", "n": "1", "order": "12", "method": "functional"},
                ("closed-series", _Q12 % 91), ("functional", _Q12 % 92))),
     "series_geom_pow-at-m3": _defect(
         series.series_geom_pow, lambda m, order: m == 3,
         {"geom-pow-additivity": 33, "series-factorization": 19,
-         "signed-binomial-vs-series": 1}),
+         "signed-binomial-vs-series": 1, "sp-at-nonpositive-chi": 1}),
     "series_coefficient-at-d2": _defect(
         series.series_coefficient, lambda s, d: d == 2,
-        {"series-vs-closed": 25, "signed-binomial-vs-series": 17}),
+        {"signed-binomial-vs-series": 17}),
     "points_euler_recursive-at-2-3": _defect(
         chow.points_euler_recursive, lambda n, d: (n, d) == (2, 3),
         {"points-recursion": 1}),
@@ -156,9 +160,9 @@ _KILLS = {
         {"recursive-vs-closed": 1, "divisor-space": 1},
         _entry("recursion", "divisor-space", {"p": "1", "d": "2"},
                ("monomial-count", "6"), ("recursive", "7"))),
-    # the CLI's --method series route: verify reads the functional series
-    # through chow_series and never calls it
-    "chow_euler_series-at-1-3-2": _defect(chow.chow_euler_series, _at(1, 3, 2), {}),
+    # the CLI's --method series route
+    "chow_euler_series-at-1-3-2": _defect(
+        chow.chow_euler_series, _at(1, 3, 2), {"series-vs-closed": 1}),
     "g_invariant_euler-at-2-3-2": _defect(
         invariants.g_invariant_euler, _at(2, 3, 2), {"group-invariant-match": 1}),
     "quaternionic_euler_closed-at-1-3-4": _defect(
@@ -238,13 +242,9 @@ def test_huge_mismatch_renders_under_the_callers_digit_limit(monkeypatch):
     # a library caller keeps the interpreter's int-to-str limit; a value past
     # it must still be reported, and the caller's limit kept
     plant(monkeypatch, chow.chow_euler_recursive, lambda params: EulerValue(10**5000))
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4321)
-    try:
+    with int_digit_limit(4321):
         failures = run_suite("recursion", 0, 0, 0, 0).failures
         assert sys.get_int_max_str_digits() == 4321
-    finally:
-        sys.set_int_max_str_digits(limit)
     assert failures == [{
         "inputs": {"check": "recursive-vs-closed", "p": "0", "n": "0", "d": "0"},
         "expected": {"path": "closed", "value": "1"},
@@ -266,15 +266,11 @@ _RENDERED = [
 
 @pytest.mark.parametrize("value", _RENDERED)
 def test_decimal_renders_like_str_under_the_least_limit(value):
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
+    with int_digit_limit(0):
         expected = str(value)
-        sys.set_int_max_str_digits(640)     # the least nonzero limit
+    with int_digit_limit(640):      # the least nonzero limit
         assert verify_mod._decimal(value) == expected
         assert sys.get_int_max_str_digits() == 640
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 def test_digit_lifts_in_many_threads():
@@ -288,21 +284,20 @@ def test_digit_lifts_in_many_threads():
             errors.append(exc)
 
     errors = []
-    limit = sys.get_int_max_str_digits()
     interval = sys.getswitchinterval()
-    sys.set_int_max_str_digits(4321)
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=render, args=(errors,)) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        assert not any(t.is_alive() for t in threads)
-        assert sys.get_int_max_str_digits() == 4321
+        with int_digit_limit(4321):
+            threads = [threading.Thread(target=render, args=(errors,))
+                       for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert sys.get_int_max_str_digits() == 4321
     finally:
         sys.setswitchinterval(interval)
-        sys.set_int_max_str_digits(limit)
     assert errors == []
 
 
@@ -335,8 +330,10 @@ def test_each_case_computes_each_side_once(monkeypatch):
     for name in ("chow_euler_closed", "series_mul", "quaternionic_d1_oracle"):
         monkeypatch.setattr(verify_mod, name, counting(name))
     run_suite("quaternionic", 4, 6, 10, 12)
-    # group-invariant-match only; one d1 oracle per (p, n) for both its checks
-    assert calls == {"chow_euler_closed": 308, "quaternionic_d1_oracle": 42}
+    # group-invariant-match only; one d1 oracle per (p, n) for both its
+    # checks; one product per sp-at-nonpositive-chi case
+    assert calls == {"chow_euler_closed": 308, "quaternionic_d1_oracle": 42,
+                     "series_mul": 21}
     calls.clear()
     run_suite("series", 4, 6, 10, 12)
     assert calls == {"series_mul": 17 * 17 + 21}  # closed factorization only
