@@ -25,18 +25,6 @@ def test_negative_n_rejected():
         binomial(-1, 0)
 
 
-def test_pascal_identity_up_to_64():
-    for n in range(1, 65):
-        for k in range(1, n):
-            assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
-
-
-def test_symmetry_up_to_64():
-    for n in range(65):
-        for k in range(n + 1):
-            assert binomial(n, k) == binomial(n, n - k)
-
-
 def test_matches_stdlib_comb():
     for n in range(65):
         for k in range(n + 1):

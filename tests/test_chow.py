@@ -213,6 +213,13 @@ def test_functional_table_keeps_only_its_frontier():
         chow_euler_recursive(ChowParams(p, n, 6))
         assert len(chow._SUSPENSION) == suspension
         assert (0, 0) not in chow._SUSPENSION
+    # a second box one column wider: growing its right column releases the
+    # first box's, by the (a, b - 1) half of the rule
+    clear_tables()
+    chow_series(3, 5, 0, "functional")
+    chow_series(3, 6, 0, "functional")
+    assert {key: len(cell) for key, cell in chow._FUNCTIONAL.items()} == dict.fromkeys(
+        [(0, 3), (1, 3), (2, 3), (3, 0), (3, 1), (3, 2), (3, 3)], 1)
 
 
 def test_zero_cycle_query_grows_one_suspension_row():

@@ -29,14 +29,6 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
-def test_chow_default_method_is_closed(capsys):
-    code, out, _ = run_cli(capsys, ["chow", "--p", "3", "--n", "3", "--d", "9"])
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["results"] == [{"method": "closed", "value": "1"}]
-    assert "match" not in payload
-
-
 def test_chow_large_value_survives_json(capsys):
     code, out, _ = run_cli(capsys, ["chow", "--p", "1", "--n", "8", "--d", "12"])
     assert code == 0
@@ -86,100 +78,6 @@ def test_recursive_route_past_recursion_limit(capsys):
     assert value == str(math.comb(math.comb(1201, 2) + 2, 3))
 
 
-def test_series_json(capsys):
-    code, out, _ = run_cli(capsys, ["series", "--p", "2", "--n", "2", "--order", "2"])
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["results"] == [{"method": "closed", "value": ["1", "1", "1"]}]
-
-
-def test_series_csv(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        ["series", "--p", "0", "--n", "1", "--order", "3", "--format", "csv"])
-    assert code == 0
-    assert out == "d,chi\n0,1\n1,2\n2,3\n3,4\n"
-
-
-def test_series_functional_method(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        ["series", "--p", "1", "--n", "2", "--order", "2",
-         "--method", "functional"])
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["results"][0]["value"] == ["1", "3", "6"]
-
-
-def test_quaternionic_p0_oracle(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        ["quaternionic", "--p", "0", "--qn", "1", "--d", "2", "--oracle", "auto"])
-    assert code == 0
-    payload = json.loads(out)
-    assert [r["method"] for r in payload["results"]] == ["closed", "oracle-p0"]
-    assert {r["value"] for r in payload["results"]} == {"3"}
-    assert payload["match"] is True
-
-
-def test_quaternionic_d1_oracle(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        ["quaternionic", "--p", "1", "--qn", "2", "--d", "1", "--oracle", "auto"])
-    assert code == 0
-    payload = json.loads(out)
-    assert [r["method"] for r in payload["results"]] == ["closed", "oracle-d1"]
-    assert {r["value"] for r in payload["results"]} == {"6"}
-    assert payload["match"] is True
-
-
-def test_quaternionic_no_oracle_applies(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        ["quaternionic", "--p", "1", "--qn", "2", "--d", "2", "--oracle", "auto"])
-    assert code == 0
-    payload = json.loads(out)
-    assert len(payload["results"]) == 1
-    assert "match" not in payload
-    assert "oracle" in payload["note"]
-
-
-def test_quaternionic_default_skips_oracle(capsys):
-    code, out, _ = run_cli(
-        capsys, ["quaternionic", "--p", "0", "--qn", "1", "--d", "2"])
-    assert code == 0
-    payload = json.loads(out)
-    assert len(payload["results"]) == 1
-    assert "note" not in payload
-
-
-def test_table_csv(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        ["table", "--p", "0", "--n", "1", "--max-d", "4", "--format", "csv"])
-    assert code == 0
-    assert out == "d,chi\n0,1\n1,2\n2,3\n3,4\n4,5\n"
-    # p = n: one cycle in each degree; --max-d 0: the degree-zero row alone
-    for argv, expected in (
-        (["--p", "2", "--n", "2", "--max-d", "3"], "d,chi\n0,1\n1,1\n2,1\n3,1\n"),
-        (["--p", "1", "--n", "3", "--max-d", "0"], "d,chi\n0,1\n"),
-    ):
-        code, out, _ = run_cli(capsys, ["table", *argv, "--format", "csv"])
-        assert code == 0
-        assert out == expected, argv
-
-
-def test_verify_clean_run(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        ["verify", "--suite", "base-cases", "--max-n", "3", "--max-d", "4"])
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["suite"] == "base-cases"
-    assert payload["failures"] == []
-    assert int(payload["cases_run"]) == 20
-
-
 def test_verify_reports_failure_with_exit_one(capsys, monkeypatch):
     plant(monkeypatch, chow_euler_closed, one_too_large(
         chow_euler_closed, lambda params: (params.p, params.n, params.d) == (1, 2, 2)))
@@ -211,23 +109,6 @@ def test_verify_passes_only_typed_bounds(capsys, monkeypatch, argv, passed):
     code, _, err = run_cli(capsys, argv)
     assert (code, err) == (0, "")
     assert calls == [((), passed)]
-
-
-def test_invalid_parameters_exit_two(capsys):
-    code, out, err = run_cli(capsys, ["chow", "--p", "2", "--n", "1", "--d", "0"])
-    assert code == 2
-    assert out == ""
-    assert err.startswith("chowchi: error:")
-    code, out, err = run_cli(capsys, ["table", "--p", "2", "--n", "1", "--max-d", "3"])
-    assert code == 2
-    assert out == ""
-    assert err == "chowchi: error: require 0 <= p <= n, got p=2, n=1\n"
-
-
-def test_negative_degree_exits_two(capsys):
-    code, _, err = run_cli(capsys, ["table", "--p", "0", "--n", "1", "--max-d", "-1"])
-    assert code == 2
-    assert "max_d" in err
 
 
 @pytest.mark.parametrize("exc", [MemoryError(), RuntimeError("table torn")])
@@ -409,7 +290,17 @@ def test_memory_error_under_a_real_limit_is_an_internal_error():
     assert EXIT_INTERNAL_ERROR == 70
 
 
-# Exact stdout, byte for byte, of one small query of each output shape.
+def _route_json(command, params, results, **extra):
+    """The JSON stdout of a route command: its query echo, each route's
+    (method, value), then any further key, such as the match flag.  The
+    literal JSON rows below pin the layout this leaves to ``json.dumps``."""
+    return json.dumps({"query": {"subcommand": command, "params": params},
+                       "results": [{"method": m, "value": v} for m, v in results],
+                       **extra}, indent=2) + "\n"
+
+
+_USAGE_P_ABOVE_N = "chowchi: error: require 0 <= p <= n, got p=2, n=1\n"
+
 # Three routes, the first closed at 6; filled in with the second route and
 # its value, the third route (at 6) and the match flag.
 _RESULTS_6 = """\
@@ -442,16 +333,24 @@ _CHOW_ALL_QUERY = """\
     }
   },
 """
+# The golden table: per command line, its exit code, its exact stdout (a
+# verify report's elapsed_ms masked) and its stderr.
 GOLDEN = {
     "chow-json": (
         ["chow", "--p", "1", "--n", "2", "--d", "2", "--method", "all"],
-        _CHOW_ALL_QUERY + _RESULTS_6 % ("recursive", "6", "series", "true")),
+        0, _CHOW_ALL_QUERY + _RESULTS_6 % ("recursive", "6", "series", "true"), ""),
     "chow-csv": (
         ["chow", "--p", "1", "--n", "2", "--d", "2", "--method", "all", "--format", "csv"],
-        "method,value\nclosed,6\nrecursive,6\nseries,6\nmatch,true\n"),
+        0, "method,value\nclosed,6\nrecursive,6\nseries,6\nmatch,true\n", ""),
+    "chow-default-method": (
+        ["chow", "--p", "3", "--n", "3", "--d", "9"],
+        0, _route_json("chow", dict(p="3", n="3", d="9", method="closed"),
+                       [("closed", "1")]), ""),
+    "chow-p-above-n": (
+        ["chow", "--p", "2", "--n", "1", "--d", "0"], 2, "", _USAGE_P_ABOVE_N),
     "quaternionic-json": (
         ["quaternionic", "--p", "0", "--qn", "3", "--d", "1", "--oracle", "auto"],
-        """\
+        0, """\
 {
   "query": {
     "subcommand": "quaternionic",
@@ -462,15 +361,33 @@ GOLDEN = {
       "oracle": "auto"
     }
   },
-""" + _RESULTS_6 % ("oracle-p0", "6", "oracle-d1", "true")),
+""" + _RESULTS_6 % ("oracle-p0", "6", "oracle-d1", "true"), ""),
     "quaternionic-csv": (
         ["quaternionic", "--p", "1", "--qn", "2", "--d", "2", "--oracle", "auto",
          "--format", "csv"],
-        "method,value\nclosed,21\n"
-        "note,no decomposition oracle applies; oracles cover p=0 and d=1\n"),
+        0, "method,value\nclosed,21\n"
+        "note,no decomposition oracle applies; oracles cover p=0 and d=1\n", ""),
+    "quaternionic-p0-oracle": (
+        ["quaternionic", "--p", "0", "--qn", "1", "--d", "2", "--oracle", "auto"],
+        0, _route_json("quaternionic", dict(p="0", qn="1", d="2", oracle="auto"),
+                       [("closed", "3"), ("oracle-p0", "3")], match=True), ""),
+    "quaternionic-d1-oracle": (
+        ["quaternionic", "--p", "1", "--qn", "2", "--d", "1", "--oracle", "auto"],
+        0, _route_json("quaternionic", dict(p="1", qn="2", d="1", oracle="auto"),
+                       [("closed", "6"), ("oracle-d1", "6")], match=True), ""),
+    "quaternionic-no-oracle": (
+        ["quaternionic", "--p", "1", "--qn", "2", "--d", "2", "--oracle", "auto"],
+        0, _route_json("quaternionic", dict(p="1", qn="2", d="2", oracle="auto"),
+                       [("closed", "21")],
+                       note="no decomposition oracle applies; oracles cover p=0 and d=1"),
+        ""),
+    "quaternionic-oracle-off": (
+        ["quaternionic", "--p", "0", "--qn", "1", "--d", "2"],
+        0, _route_json("quaternionic", dict(p="0", qn="1", d="2", oracle="none"),
+                       [("closed", "3")]), ""),
     "series-json": (
         ["series", "--p", "1", "--n", "2", "--order", "2"],
-        """\
+        0, """\
 {
   "query": {
     "subcommand": "series",
@@ -492,13 +409,20 @@ GOLDEN = {
     }
   ]
 }
-"""),
+""", ""),
     "series-csv": (
         ["series", "--p", "1", "--n", "2", "--order", "2", "--format", "csv"],
-        "d,chi\n0,1\n1,3\n2,6\n"),
+        0, "d,chi\n0,1\n1,3\n2,6\n", ""),
+    "series-functional": (
+        ["series", "--p", "1", "--n", "2", "--order", "2", "--method", "functional"],
+        0, _route_json("series", dict(p="1", n="2", order="2", method="functional"),
+                       [("functional", ["1", "3", "6"])]), ""),
+    "series-geometric-csv": (
+        ["series", "--p", "0", "--n", "1", "--order", "3", "--format", "csv"],
+        0, "d,chi\n0,1\n1,2\n2,3\n3,4\n", ""),
     "table-json": (
         ["table", "--p", "1", "--n", "3", "--max-d", "2"],
-        """\
+        0, """\
 {
   "query": {
     "subcommand": "table",
@@ -523,17 +447,37 @@ GOLDEN = {
     }
   ]
 }
-"""),
+""", ""),
     "table-csv": (
         ["table", "--p", "1", "--n", "3", "--max-d", "2", "--format", "csv"],
-        "d,chi\n0,1\n1,6\n2,21\n"),
+        0, "d,chi\n0,1\n1,6\n2,21\n", ""),
+    "table-geometric-csv": (
+        ["table", "--p", "0", "--n", "1", "--max-d", "4", "--format", "csv"],
+        0, "d,chi\n0,1\n1,2\n2,3\n3,4\n4,5\n", ""),
+    # p = n: one cycle in each degree; --max-d 0: the degree-zero row alone
+    "table-p-equals-n-csv": (
+        ["table", "--p", "2", "--n", "2", "--max-d", "3", "--format", "csv"],
+        0, "d,chi\n0,1\n1,1\n2,1\n3,1\n", ""),
+    "table-degree-zero-csv": (
+        ["table", "--p", "1", "--n", "3", "--max-d", "0", "--format", "csv"],
+        0, "d,chi\n0,1\n", ""),
+    "table-p-above-n": (
+        ["table", "--p", "2", "--n", "1", "--max-d", "3"], 2, "", _USAGE_P_ABOVE_N),
+    "table-negative-degree": (
+        ["table", "--p", "0", "--n", "1", "--max-d", "-1"],
+        2, "", "chowchi: error: max_d must be nonnegative, got -1\n"),
+    "verify-base-cases": (
+        ["verify", "--suite", "base-cases", "--max-n", "3", "--max-d", "4"],
+        0, '{\n  "suite": "base-cases",\n  "cases_run": "20",\n  "failures": [],\n'
+           '  "elapsed_ms": "-"\n}\n', ""),
 }
 
 
 @pytest.mark.parametrize("name", list(GOLDEN))
 def test_golden_stdout(capsys, name):
-    argv, expected = GOLDEN[name]
-    assert run_cli(capsys, argv) == (0, expected, "")
+    argv, *expected = GOLDEN[name]
+    code, out, err = run_cli(capsys, argv)
+    assert [code, _mask_elapsed(out), err] == expected
 
 
 @pytest.mark.parametrize("argv, cases", [
@@ -550,7 +494,7 @@ def test_golden_verify_stdout(capsys, argv, cases):
 
 def test_golden_mismatch_stdout(capsys, monkeypatch):
     plant(monkeypatch, chow_euler_recursive, one_too_large(chow_euler_recursive))
-    argv, _ = GOLDEN["chow-json"]
+    argv = GOLDEN["chow-json"][0]
     assert run_cli(capsys, argv) == (
         1, _CHOW_ALL_QUERY + _RESULTS_6 % ("recursive", "7", "series", "false"), "")
 

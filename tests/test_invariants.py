@@ -50,13 +50,6 @@ def test_p0_oracle_rejects_bad_range():
         quaternionic_p0_oracle(2, -1)
 
 
-def test_p0_oracle_matches_closed_form():
-    for n in range(1, 7):
-        for d in range(11):
-            assert quaternionic_p0_oracle(n, d) \
-                == quaternionic_euler_closed(QuaternionicParams(0, n, d))
-
-
 def test_d1_oracle_examples():
     assert quaternionic_d1_oracle(0, 1) == 2
     assert quaternionic_d1_oracle(1, 1) == 1

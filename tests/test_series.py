@@ -117,14 +117,6 @@ def test_coefficient_out_of_range_rejected():
         series_coefficient(s, -1)
 
 
-def test_geom_pow_additivity():
-    # exponent additivity of (1/(1-t))^m against the Cauchy product
-    for a in range(17):
-        for b in range(17):
-            assert series_geom_pow(a + b, 20) == series_mul(
-                series_geom_pow(a, 20), series_geom_pow(b, 20))
-
-
 def test_geom_pow_coefficients_are_signed_binomials():
     for m in range(17):
         s = series_geom_pow(m, 20)
