@@ -18,6 +18,14 @@ from chowchi.verify import SUITE_NAMES, VerificationReport, run_suite
 from oracles import clear_tables, int_digit_limit, one_too_large, plant
 
 
+def test_suite_names_cover_dispatch():
+    for name in SUITE_NAMES:
+        report = run_suite(name, max_p=2, max_n=3, max_d=4, order=6)
+        assert report.suite == name
+        assert report.ok
+        assert report.cases_run > 0
+
+
 def test_run_suite_rejects_unknown_name():
     with pytest.raises(ValueError):
         run_suite("spectral", max_p=2, max_n=3, max_d=4, order=6)
@@ -274,6 +282,21 @@ def test_decimal_renders_like_str_under_the_least_limit(value):
     with int_digit_limit(640):      # the least nonzero limit
         assert verify_mod._decimal(value) == expected
         assert sys.get_int_max_str_digits() == 640
+
+
+def test_base_cases_catch_a_lying_point_recursion(monkeypatch):
+    honest = verify_mod.points_euler_recursive
+
+    def lying(n, d):
+        return honest(n, d) + ((n, d) == (2, 3))
+
+    monkeypatch.setattr(verify_mod, "points_euler_recursive", lying)
+    failures = run_suite("base-cases", 2, 3, 4, 6).to_json_dict()["failures"]
+    assert failures == [{
+        "inputs": {"check": "points-recursion", "n": "2", "d": "3"},
+        "expected": {"path": "binomial", "value": "10"},
+        "actual": {"path": "points-recursive", "value": "11"},
+    }]
 
 
 def test_each_case_computes_each_side_once(monkeypatch):
