@@ -1,12 +1,24 @@
 """Helpers shared by several test modules: independent expansion oracles,
-the reset of the two route tables, planted defects and the int-to-str digit
-limit."""
+the reset of the two route tables, planted defects, the int-to-str digit
+limit, and the one in-process CLI runner.
+
+``cli_run(argv)`` returns ``(exit code, stdout, stderr)`` of one
+``chowchi.cli.main(argv)`` call at 80 columns; argparse's ``SystemExit``
+(``--help``, a usage error) becomes the exit code, and a verify report's
+``elapsed_ms`` value is masked as ``"#"`` by ``mask_elapsed``, which a
+subprocess's stdout goes through too.
+"""
 
 import contextlib
 import functools
+import io
+import os
+import re
 import sys
+from unittest import mock
 
 from chowchi.chow import EulerValue, chow_euler_recursive, chow_series
+from chowchi.cli import main
 from chowchi.series import TruncatedSeries, series_geom_pow, series_mul
 
 
@@ -70,3 +82,22 @@ def one_too_large(fn, at=lambda *args, **kwargs: True):
             return TruncatedSeries(value.coeffs[:-1] + (value.coeffs[-1] + 1,))
         return EulerValue(value.chi + 1) if isinstance(value, EulerValue) else value + 1
     return wrong
+
+
+def mask_elapsed(stdout: str) -> str:
+    """``stdout`` with each ``elapsed_ms`` value, the CLI's one varying
+    output, replaced by ``"#"``."""
+    return re.sub(r'"elapsed_ms": "\d+"', '"elapsed_ms": "#"', stdout)
+
+
+def cli_run(argv: list[str]) -> tuple[int, str, str]:
+    """(exit code, masked stdout, stderr) of ``main(argv)`` in process."""
+    out, err = io.StringIO(), io.StringIO()
+    # argparse wraps help and usage to the terminal; pin one width
+    with mock.patch.dict(os.environ, COLUMNS="80"), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, mask_elapsed(out.getvalue()), err.getvalue()

@@ -5,7 +5,6 @@ import importlib
 import json
 import math
 import os
-import re
 import runpy
 import subprocess
 import sys
@@ -18,27 +17,12 @@ import chowchi
 import chowchi.cli as cli_mod
 import chowchi.verify as verify_mod
 from chowchi.chow import chow_euler_closed, chow_euler_recursive
-from chowchi.cli import EXIT_BROKEN_PIPE, EXIT_INTERNAL_ERROR, build_parser, main
+from chowchi.cli import EXIT_BROKEN_PIPE, EXIT_INTERNAL_ERROR
 
-from oracles import int_digit_limit, one_too_large, plant
-
-
-def run_cli(capsys, argv):
-    code = main(argv)
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+from oracles import cli_run, int_digit_limit, mask_elapsed, one_too_large, plant
 
 
-def test_chow_large_value_survives_json(capsys):
-    code, out, _ = run_cli(capsys, ["chow", "--p", "1", "--n", "8", "--d", "12"])
-    assert code == 0
-    payload = json.loads(out)
-    value = payload["results"][0]["value"]
-    assert isinstance(value, str)
-    assert int(value) == math.comb(math.comb(9, 2) + 11, 12)
-
-
-def test_chow_value_over_digit_limit(capsys, monkeypatch):
+def test_chow_value_over_digit_limit(monkeypatch):
     # the route computes under the caller's limit, and the limit is unchanged
     # after the command
     honest = cli_mod.chow_euler_closed
@@ -50,7 +34,7 @@ def test_chow_value_over_digit_limit(capsys, monkeypatch):
 
     monkeypatch.setattr(cli_mod, "chow_euler_closed", closed)
     limit = sys.get_int_max_str_digits()
-    code, out, _ = run_cli(capsys, ["chow", "--p", "5", "--n", "20", "--d", "10000"])
+    code, out, _ = cli_run(["chow", "--p", "5", "--n", "20", "--d", "10000"])
     assert code == 0
     assert seen == [limit]
     assert sys.get_int_max_str_digits() == limit
@@ -60,9 +44,9 @@ def test_chow_value_over_digit_limit(capsys, monkeypatch):
     assert json.loads(out)["results"] == [{"method": "closed", "value": expected}]
 
 
-def test_table_values_over_digit_limit(capsys):
-    code, out, _ = run_cli(
-        capsys, ["table", "--p", "10", "--n", "40", "--max-d", "650", "--format", "csv"])
+def test_table_values_over_digit_limit():
+    code, out, _ = cli_run(
+        ["table", "--p", "10", "--n", "40", "--max-d", "650", "--format", "csv"])
     assert code == 0
     v = math.comb(41, 11)
     with int_digit_limit(0):
@@ -70,19 +54,10 @@ def test_table_values_over_digit_limit(capsys):
     assert out == "\n".join(["d,chi", *rows]) + "\n"
 
 
-def test_recursive_route_past_recursion_limit(capsys):
-    code, out, _ = run_cli(
-        capsys, ["chow", "--p", "1", "--n", "1200", "--d", "3", "--method", "recursive"])
-    assert code == 0
-    value = json.loads(out)["results"][0]["value"]
-    assert value == str(math.comb(math.comb(1201, 2) + 2, 3))
-
-
-def test_verify_reports_failure_with_exit_one(capsys, monkeypatch):
+def test_verify_reports_failure_with_exit_one(monkeypatch):
     plant(monkeypatch, chow_euler_closed, one_too_large(
         chow_euler_closed, lambda params: (params.p, params.n, params.d) == (1, 2, 2)))
-    code, out, _ = run_cli(
-        capsys,
+    code, out, _ = cli_run(
         ["verify", "--suite", "recursion",
          "--max-p", "2", "--max-n", "3", "--max-d", "4", "--order", "6"])
     assert code == 1
@@ -97,7 +72,7 @@ def test_verify_reports_failure_with_exit_one(capsys, monkeypatch):
     (["verify"], {"name": "all"}),
     (["verify", "--order", "3", "--max-p", "2"], {"name": "all", "order": 3, "max_p": 2}),
 ], ids=["no-bounds", "two-bounds"])
-def test_verify_passes_only_typed_bounds(capsys, monkeypatch, argv, passed):
+def test_verify_passes_only_typed_bounds(monkeypatch, argv, passed):
     # the default bounds are run_suite's own; the CLI states none of them
     calls = []
 
@@ -106,37 +81,21 @@ def test_verify_passes_only_typed_bounds(capsys, monkeypatch, argv, passed):
         return verify_mod.VerificationReport("all")
 
     monkeypatch.setattr(cli_mod, "run_suite", recorder)
-    code, _, err = run_cli(capsys, argv)
+    code, _, err = cli_run(argv)
     assert (code, err) == (0, "")
     assert calls == [((), passed)]
 
 
 @pytest.mark.parametrize("exc", [MemoryError(), RuntimeError("table torn")])
-def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch, exc):
+def test_unexpected_exception_is_an_internal_error(monkeypatch, exc):
     def broken(params):
         raise exc
 
     plant(monkeypatch, chow_euler_closed, broken)
-    code, out, err = run_cli(capsys, ["chow", "--p", "1", "--n", "2", "--d", "2"])
+    code, out, err = cli_run(["chow", "--p", "1", "--n", "2", "--d", "2"])
     assert code == EXIT_INTERNAL_ERROR == 70
     assert out == ""
     assert err == f"chowchi: internal error: {type(exc).__name__}: {exc}\n"
-
-
-def test_unknown_choice_exits_two():
-    with pytest.raises(SystemExit) as excinfo:
-        main(["chow", "--p", "1", "--n", "2", "--d", "2", "--method", "magic"])
-    assert excinfo.value.code == 2
-
-
-def test_missing_subcommand_exits_two():
-    with pytest.raises(SystemExit) as excinfo:
-        main([])
-    assert excinfo.value.code == 2
-
-
-def test_parser_prog_name():
-    assert build_parser().prog == "chowchi"
 
 
 @pytest.mark.parametrize("argv", [
@@ -145,13 +104,13 @@ def test_parser_prog_name():
     ["table", "--p", "1", "--n", "4", "--max-d", "6", "--format", "csv"],
     ["quaternionic", "--p", "2", "--qn", "2", "--d", "3"],
 ])
-def test_value_commands_are_deterministic(capsys, argv):
-    code_a, out_a, _ = run_cli(capsys, argv)
+def test_value_commands_are_deterministic(argv):
+    code_a, out_a, _ = cli_run(argv)
     # the same options typed in reverse order: the query echo must not move
     pairs = [argv[i:i + 2] for i in range(1, len(argv), 2)]
     reordered = [argv[0], *(arg for pair in reversed(pairs) for arg in pair)]
     assert reordered != argv
-    code_b, out_b, _ = run_cli(capsys, reordered)
+    code_b, out_b, _ = cli_run(reordered)
     assert code_a == code_b == 0
     assert out_a == out_b
 
@@ -163,38 +122,16 @@ def child_env():
     return {**os.environ, "PYTHONPATH": path}
 
 
-def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "chowchi",
-         "chow", "--p", "1", "--n", "2", "--d", "2"],
-        capture_output=True, text=True, check=False, env=child_env())
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["results"][0]["value"] == "6"
-
-
-def _mask_elapsed(text):
-    return re.sub(r'"elapsed_ms": "\d+"', '"elapsed_ms": "-"', text)
-
-
-@pytest.mark.parametrize("argv", [
-    ["--help"],
-    ["chow", "--p", "3", "--n", "1", "--d", "2"],
-    ["chow", "--p", "1", "--n", "3", "--d", "2", "--method", "all"],
-    ["verify", "--max-n", "2", "--max-d", "2"],
+@pytest.mark.parametrize("name", [
+    "help", "chow-p-above-n", "chow-json", "verify-small-bounds",
 ], ids=["help", "usage-error", "chow-all", "verify"])
-def test_module_entry_matches_main(capsys, monkeypatch, argv):
-    # argparse wraps help text to the terminal; pin one width for both sides
-    monkeypatch.setenv("COLUMNS", "80")
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
+def test_module_entry_matches_main(name):
+    # python -m chowchi prints the golden bytes that main() does
+    argv, *expected = GOLDEN[name]
     proc = subprocess.run([sys.executable, "-m", "chowchi", *argv],
                           capture_output=True, text=True, check=False,
-                          env=child_env())
-    assert (proc.returncode, _mask_elapsed(proc.stdout), proc.stderr) \
-        == (code, _mask_elapsed(captured.out), captured.err)
+                          env={**child_env(), "COLUMNS": "80"})
+    assert [proc.returncode, mask_elapsed(proc.stdout), proc.stderr] == expected
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -214,14 +151,13 @@ def test_module_entry_freezes_the_heap_once(capsys, monkeypatch, argv, code):
     assert (excinfo.value.code, frozen) == (code, [True])
 
 
-def test_main_never_freezes_the_heap(capsys):
+def test_main_never_freezes_the_heap():
     before = gc.get_freeze_count()
     for argv in (["chow", "--p", "1", "--n", "2", "--d", "2", "--method", "all"],
                  ["series", "--p", "1", "--n", "2", "--order", "4", "--format", "csv"],
                  ["chow", "--p", "3", "--n", "1", "--d", "2"],
                  ["verify", "--max-n", "2", "--max-d", "2"]):
-        main(argv)
-    capsys.readouterr()
+        cli_run(argv)
     assert gc.get_freeze_count() == before
 
 
@@ -234,11 +170,11 @@ def test_console_script_is_the_module_entry():
     assert getattr(importlib.import_module(module), name) is entry.run
 
 
-def test_chow_without_a_digit_limit(capsys, monkeypatch):
+def test_chow_without_a_digit_limit(monkeypatch):
     # no chowchi code reads the int-to-str digit limit, so the CLI runs the
     # same with the limit API gone
     monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
-    assert run_cli(capsys, ["chow", "--p", "1", "--n", "2", "--d", "2", "--format", "csv"]) \
+    assert cli_run(["chow", "--p", "1", "--n", "2", "--d", "2", "--format", "csv"]) \
         == (0, "method,value\nclosed,6\n", "")
 
 
@@ -333,8 +269,9 @@ _CHOW_ALL_QUERY = """\
     }
   },
 """
-# The golden table: per command line, its exit code, its exact stdout (a
-# verify report's elapsed_ms masked) and its stderr.
+# The golden table: per command line, the exit code, exact stdout (a verify
+# report's elapsed_ms masked) and stderr that ``cli_run`` returns, at 80
+# columns.
 GOLDEN = {
     "chow-json": (
         ["chow", "--p", "1", "--n", "2", "--d", "2", "--method", "all"],
@@ -348,6 +285,16 @@ GOLDEN = {
                        [("closed", "1")]), ""),
     "chow-p-above-n": (
         ["chow", "--p", "2", "--n", "1", "--d", "0"], 2, "", _USAGE_P_ABOVE_N),
+    # a count past 2^53 stays an exact decimal string in JSON
+    "chow-large-value": (
+        ["chow", "--p", "1", "--n", "8", "--d", "12"],
+        0, _route_json("chow", dict(p="1", n="8", d="12", method="closed"),
+                       [("closed", str(math.comb(math.comb(9, 2) + 11, 12)))]), ""),
+    # 1200 suspensions deep, past Python's recursion limit
+    "chow-recursive-deep": (
+        ["chow", "--p", "1", "--n", "1200", "--d", "3", "--method", "recursive"],
+        0, _route_json("chow", dict(p="1", n="1200", d="3", method="recursive"),
+                       [("recursive", str(math.comb(math.comb(1201, 2) + 2, 3)))]), ""),
     "quaternionic-json": (
         ["quaternionic", "--p", "0", "--qn", "3", "--d", "1", "--oracle", "auto"],
         0, """\
@@ -469,39 +416,30 @@ GOLDEN = {
     "verify-base-cases": (
         ["verify", "--suite", "base-cases", "--max-n", "3", "--max-d", "4"],
         0, '{\n  "suite": "base-cases",\n  "cases_run": "20",\n  "failures": [],\n'
-           '  "elapsed_ms": "-"\n}\n', ""),
-}
-
-
-@pytest.mark.parametrize("name", list(GOLDEN))
-def test_golden_stdout(capsys, name):
-    argv, *expected = GOLDEN[name]
-    code, out, err = run_cli(capsys, argv)
-    assert [code, _mask_elapsed(out), err] == expected
-
-
-@pytest.mark.parametrize("argv, cases", [
-    (["verify", "--max-n", "2", "--max-d", "2"], "663"),
-    (["verify"], "2482"),       # the default bounds (4, 6, 10, 12)
-], ids=["small-bounds", "default-bounds"])
-def test_golden_verify_stdout(capsys, argv, cases):
-    code, out, err = run_cli(capsys, argv)
-    assert (code, err) == (0, "")
-    head, sep, elapsed = out.rpartition('  "elapsed_ms": "')
-    assert sep and elapsed[:-4].isdigit() and elapsed[-4:] == '"\n}\n'
-    assert head == f'{{\n  "suite": "all",\n  "cases_run": "{cases}",\n  "failures": [],\n'
-
-
-def test_golden_mismatch_stdout(capsys, monkeypatch):
-    plant(monkeypatch, chow_euler_recursive, one_too_large(chow_euler_recursive))
-    argv = GOLDEN["chow-json"][0]
-    assert run_cli(capsys, argv) == (
-        1, _CHOW_ALL_QUERY + _RESULTS_6 % ("recursive", "7", "series", "false"), "")
-
-
-# Exact stdout of every --help at 80 columns.
-HELP = {
-    "chowchi": """\
+           '  "elapsed_ms": "#"\n}\n', ""),
+    "verify-small-bounds": (
+        ["verify", "--max-n", "2", "--max-d", "2"],
+        0, '{\n  "suite": "all",\n  "cases_run": "663",\n  "failures": [],\n'
+           '  "elapsed_ms": "#"\n}\n', ""),
+    # the default bounds (4, 6, 10, 12)
+    "verify-default-bounds": (
+        ["verify"],
+        0, '{\n  "suite": "all",\n  "cases_run": "2482",\n  "failures": [],\n'
+           '  "elapsed_ms": "#"\n}\n', ""),
+    # argparse's usage errors
+    "missing-subcommand": (
+        [], 2, "", "usage: chowchi [-h] {chow,series,quaternionic,verify,table} ...\n"
+        "chowchi: error: the following arguments are required: command\n"),
+    "chow-unknown-method": (
+        ["chow", "--p", "1", "--n", "2", "--d", "2", "--method", "magic"], 2, "", """\
+usage: chowchi chow [-h] --p P --n N --d D
+                    [--method {closed,recursive,series,all}]
+                    [--format {json,csv}]
+chowchi chow: error: argument --method: invalid choice: 'magic' (choose from \
+'closed', 'recursive', 'series', 'all')
+"""),
+    # every --help
+    "help": (["--help"], 0, """\
 usage: chowchi [-h] {chow,series,quaternionic,verify,table} ...
 
 Exact Euler characteristics of cycle spaces of projective space.
@@ -517,8 +455,8 @@ positional arguments:
 
 options:
   -h, --help            show this help message and exit
-""",
-    "chowchi chow": """\
+""", ""),
+    "help-chow": (["chow", "--help"], 0, """\
 usage: chowchi chow [-h] --p P --n N --d D
                     [--method {closed,recursive,series,all}]
                     [--format {json,csv}]
@@ -531,8 +469,8 @@ options:
   --method {closed,recursive,series,all}
                         computation path, or all three with a match flag
   --format {json,csv}
-""",
-    "chowchi series": """\
+""", ""),
+    "help-series": (["series", "--help"], 0, """\
 usage: chowchi series [-h] --p P --n N --order ORDER
                       [--method {closed,functional}] [--format {json,csv}]
 
@@ -544,8 +482,8 @@ options:
   --method {closed,functional}
                         direct expansion or functional-equation build
   --format {json,csv}
-""",
-    "chowchi quaternionic": """\
+""", ""),
+    "help-quaternionic": (["quaternionic", "--help"], 0, """\
 usage: chowchi quaternionic [-h] --p P --qn QN --d D [--oracle {none,auto}]
                             [--format {json,csv}]
 
@@ -556,8 +494,8 @@ options:
   --d D                 cycle degree
   --oracle {none,auto}  also run the decomposition oracle when one applies
   --format {json,csv}
-""",
-    "chowchi verify": """\
+""", ""),
+    "help-verify": (["verify", "--help"], 0, """\
 usage: chowchi verify [-h]
                       [--suite {recursion,series,quaternionic,base-cases,all}]
                       [--max-p MAX_P] [--max-n MAX_N] [--max-d MAX_D]
@@ -570,8 +508,8 @@ options:
   --max-n MAX_N
   --max-d MAX_D
   --order ORDER
-""",
-    "chowchi table": """\
+""", ""),
+    "help-table": (["table", "--help"], 0, """\
 usage: chowchi table [-h] --p P --n N --max-d MAX_D [--format {json,csv}]
 
 options:
@@ -580,15 +518,19 @@ options:
   --n N                ambient projective dimension
   --max-d MAX_D
   --format {json,csv}
-""",
+""", ""),
 }
 
 
-@pytest.mark.parametrize("command", list(HELP))
-def test_golden_help_stdout(capsys, monkeypatch, command):
-    # argparse wraps help text to the terminal; pin one width
-    monkeypatch.setenv("COLUMNS", "80")
-    with pytest.raises(SystemExit) as excinfo:
-        main(command.split()[1:] + ["--help"])
-    assert excinfo.value.code == 0
-    assert capsys.readouterr() == (HELP[command], "")
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_golden_stdout(name):
+    argv, *expected = GOLDEN[name]
+    assert list(cli_run(argv)) == expected
+
+
+def test_golden_mismatch_stdout(monkeypatch):
+    plant(monkeypatch, chow_euler_recursive, one_too_large(chow_euler_recursive))
+    argv = GOLDEN["chow-json"][0]
+    assert cli_run(argv) == (
+        1, _CHOW_ALL_QUERY + _RESULTS_6 % ("recursive", "7", "series", "false"), "")
+

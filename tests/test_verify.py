@@ -331,6 +331,8 @@ def test_each_case_computes_each_side_once(monkeypatch):
     ((1, 2, 3, 4), (71, 380, 89, 12, 552)),
     ((5, 3, 7, 9), (270, 471, 245, 32, 1018)),
     ((2, 8, 4, 3), (436, 429, 790, 45, 1700)),
+    ((5, 2, 3, 0), (83, 312, 89, 12, 496)),     # max_p above max_n, order 0
+    ((0, 3, 0, 5), (21, 403, 70, 4, 498)),      # only p = 0 and d = 0
 ])
 def test_cases_run_per_suite(bounds, counts):
     reports = [run_suite(name, *bounds) for name in SUITE_NAMES]
