@@ -2,27 +2,10 @@
 
 import math
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from chowchi import binomials
 from chowchi.binomials import binomial
-
-
-def test_small_values():
-    assert binomial(4, 2) == 6
-    assert binomial(7, 0) == 1
-    assert binomial(0, 0) == 1
-
-
-def test_out_of_range_k_is_zero():
-    assert binomial(5, 7) == 0
-    assert binomial(5, -1) == 0
-
-
-def test_negative_n_rejected():
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
 
 
 def test_matches_stdlib_comb():

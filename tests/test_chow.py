@@ -15,75 +15,11 @@ from chowchi.chow import (
     chow_euler_recursive,
     chow_euler_series,
     chow_series,
-    divisor_check,
     points_euler_recursive,
-    v_pn,
 )
 from chowchi.series import series_mul
 
 from oracles import clear_tables
-
-
-def test_params_validation():
-    with pytest.raises(ValueError, match="^require 0 <= p <= n, got p=2, n=1$"):
-        ChowParams(2, 1, 0)
-    with pytest.raises(ValueError, match="^require 0 <= p <= n, got p=-1, n=3$"):
-        ChowParams(-1, 3, 0)
-    with pytest.raises(ValueError, match="^degree must be nonnegative, got d=-1$"):
-        ChowParams(p=1, n=3, d=-1)
-    # integers only: a float field would reach some routes and not others
-    for args in ((2, 2.0, 3), (1.0, 2, 3), (1, 2, 3.0), ("1", 2, 3)):
-        with pytest.raises(TypeError):
-            ChowParams(*args)
-    assert repr(ChowParams(True, 2, 3)) == "ChowParams(p=1, n=2, d=3)"
-
-
-def test_v_pn_values():
-    assert v_pn(0, 1) == 2
-    assert v_pn(1, 3) == 6
-    for n in range(6):
-        assert v_pn(n, n) == 1
-
-
-def test_v_pn_rejects_bad_range():
-    with pytest.raises(ValueError):
-        v_pn(-1, 3)
-    with pytest.raises(ValueError):
-        v_pn(4, 3)
-
-
-def test_closed_examples():
-    assert chow_euler_closed(ChowParams(0, 2, 2)).chi == 6
-    assert chow_euler_closed(ChowParams(1, 3, 2)).chi == 21
-    for d in (0, 1, 5, 9):
-        assert chow_euler_closed(ChowParams(3, 3, d)).chi == 1
-
-
-def test_recursive_examples():
-    assert chow_euler_recursive(ChowParams(1, 2, 2)).chi == 6
-    assert chow_euler_recursive(ChowParams(2, 2, 7)).chi == 1
-    assert chow_euler_recursive(ChowParams(1, 3, 3)).chi == 56
-
-
-def test_points_rejects_negative():
-    with pytest.raises(ValueError):
-        points_euler_recursive(-1, 2)
-    with pytest.raises(ValueError):
-        points_euler_recursive(2, -1)
-
-
-def test_series_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        chow_series(3, 2, 4)
-    with pytest.raises(ValueError):
-        chow_series(1, 2, -1)
-    with pytest.raises(ValueError):
-        chow_series(1, 2, 4, method="magic")
-    for method in ("closed", "functional"):
-        with pytest.raises(TypeError):
-            chow_series(1, 2.0, 3, method)
-        with pytest.raises(TypeError):
-            chow_series(1.0, 2, 3, method)
 
 
 def test_series_methods_agree():
@@ -91,19 +27,6 @@ def test_series_methods_agree():
         for p in range(n + 1):
             assert chow_series(p, n, 12, method="functional") \
                 == chow_series(p, n, 12, method="closed")
-
-
-def test_divisor_examples():
-    assert divisor_check(0, 1) == 2
-    assert divisor_check(1, 2) == 6
-    assert divisor_check(2, 3) == 20
-
-
-def test_divisor_rejects_negative():
-    with pytest.raises(ValueError):
-        divisor_check(-1, 2)
-    with pytest.raises(ValueError):
-        divisor_check(2, -1)
 
 
 def test_degree_one_is_pascal():
