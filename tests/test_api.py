@@ -17,8 +17,8 @@ from chowchi import (
     ChowParams, EulerValue, QuaternionicParams, TruncatedSeries, binomial,
     chow_euler_closed, chow_euler_recursive, chow_series, divisor_check,
     g_invariant_euler, points_euler_recursive, quaternionic_d1_oracle,
-    quaternionic_euler_closed, quaternionic_p0_oracle, run_suite,
-    series_coefficient, series_geom_pow, series_mul, sp_euler, v_pn)
+    quaternionic_euler_closed, quaternionic_p0_oracle, series_coefficient,
+    series_geom_pow, series_mul, sp_euler, v_pn)
 
 
 class Raises(NamedTuple):
@@ -35,9 +35,6 @@ NOT_AN_INT = Raises(TypeError, None)
 
 API = {
     "binomial-0-0": ((binomial, 0, 0), 1),
-    "binomial-k-below-range": ((binomial, 5, -1), 0),
-    "binomial-negative-n": ((binomial, -1, 0),
-                            bad("upper argument must be nonnegative, got n=-1")),
     # records pass each field through operator.index: no float reaches a route
     "chow-params-p-above-n": ((ChowParams, 2, 1, 0),
                               bad("require 0 <= p <= n, got p=2, n=1")),
@@ -135,12 +132,6 @@ API = {
                                bad("degree 3 outside series order 2")),
     "coefficient-negative": ((series_coefficient, TruncatedSeries([1, 2, 3]), -1),
                              bad("degree -1 outside series order 2")),
-    # verify
-    "run_suite-unknown-name": ((run_suite, "spectral", 2, 3, 4, 6), bad(
-        "unknown suite 'spectral'; choose from recursion, series, quaternionic, "
-        "base-cases, all")),
-    "run_suite-negative-bound": ((run_suite, "recursion", -1, 3, 4, 6),
-                                 bad("max_p must be nonnegative, got -1")),
 }
 
 

@@ -26,6 +26,17 @@ def test_suite_names_cover_dispatch():
         assert report.cases_run > 0
 
 
+def test_run_suite_rejects_unknown_name():
+    with pytest.raises(ValueError, match="^unknown suite 'spectral'; choose from recursion, "
+                       "series, quaternionic, base-cases, all$"):
+        run_suite("spectral", max_p=2, max_n=3, max_d=4, order=6)
+
+
+def test_run_suite_rejects_negative_bounds():
+    with pytest.raises(ValueError, match="^max_p must be nonnegative, got -1$"):
+        run_suite("recursion", max_p=-1, max_n=3, max_d=4, order=6)
+
+
 def test_report_json_shape():
     report = run_suite("recursion", max_p=1, max_n=2, max_d=3, order=4)
     payload = report.to_json_dict()
