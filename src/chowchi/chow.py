@@ -34,7 +34,7 @@ no state: it is n running sums, recomputed per call.
 import threading
 from collections.abc import Callable
 from itertools import accumulate
-from operator import index, mul
+from operator import attrgetter, index, mul
 
 from ._record import Record, field_setters
 from .binomials import binomial
@@ -133,7 +133,7 @@ def sp_euler(chi: int, d: int) -> int:
     1
     """
     if d < 0:
-        raise ValueError(f"d must be nonnegative, got {d}")
+        raise ValueError(f"degree must be nonnegative, got d={d}")
     if chi > 0:
         return binomial(chi + d - 1, d)
     c = binomial(-chi, d)
@@ -263,8 +263,7 @@ def points_euler_recursive(n: int, d: int) -> int:
     >>> points_euler_recursive(3, 2)
     10
     """
-    if n < 0 or d < 0:
-        raise ValueError(f"require n >= 0 and d >= 0, got n={n}, d={d}")
+    n, d = attrgetter("n", "d")(ChowParams(0, n, d))
     row = [1] * (d + 1)
     for _ in range(n):
         row = list(accumulate(row))
@@ -318,9 +317,7 @@ def chow_series(p: int, n: int, order: int, method: str = SERIES_CLOSED) -> Trun
     >>> chow_series(1, 2, 2, method="functional").coeffs
     (1, 3, 6)
     """
-    p, n = index(p), index(n)
-    if not 0 <= p <= n:
-        raise ValueError(f"require 0 <= p <= n, got p={p}, n={n}")
+    p, n = attrgetter("p", "n")(ChowParams(p, n, 0))
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
     if method == SERIES_CLOSED:
@@ -362,6 +359,5 @@ def divisor_check(p: int, d: int) -> int:
     >>> divisor_check(2, 3)
     20
     """
-    if p < 0 or d < 0:
-        raise ValueError(f"require p >= 0 and d >= 0, got p={p}, d={d}")
+    p, d = attrgetter("p", "d")(ChowParams(p, p + 1, d))
     return binomial(p + d + 1, d)

@@ -9,7 +9,7 @@ of a disjoint pair of projective spaces for p = 0, and pairs of eigenspace
 Grassmannians for d = 1.
 """
 
-from operator import index
+from operator import attrgetter, index
 
 from ._record import Record, field_setters
 from .binomials import binomial
@@ -104,8 +104,7 @@ def quaternionic_p0_oracle(n: int, d: int) -> int:
     >>> quaternionic_p0_oracle(2, 3)
     20
     """
-    if n < 1 or d < 0:
-        raise ValueError(f"require n >= 1 and d >= 0, got n={n}, d={d}")
+    n, d = attrgetter("n", "d")(QuaternionicParams(0, n, d))
     return sum(
         binomial(n + i - 1, i) * binomial(n + d - i - 1, d - i)
         for i in range(d + 1)
@@ -128,8 +127,5 @@ def quaternionic_d1_oracle(p: int, n: int) -> int:
     >>> quaternionic_d1_oracle(1, 2)
     6
     """
-    if n < 1:
-        raise ValueError(f"require n >= 1, got n={n}")
-    if not 0 <= p <= 2 * n - 1:
-        raise ValueError(f"require 0 <= p <= 2n-1, got p={p} with n={n}")
+    p, n = attrgetter("p", "n")(QuaternionicParams(p, n, 1))
     return sum(binomial(n, i) * binomial(n, p + 1 - i) for i in range(p + 2))

@@ -35,7 +35,9 @@ NOT_AN_INT = Raises(TypeError, None)
 
 API = {
     "binomial-0-0": ((binomial, 0, 0), 1),
-    # records pass each field through operator.index: no float reaches a route
+    # records pass each field through operator.index: no float reaches a route,
+    # nor the point count, the divisor count or the two quaternionic oracles,
+    # which validate through them
     "chow-params-p-above-n": ((ChowParams, 2, 1, 0),
                               bad("require 0 <= p <= n, got p=2, n=1")),
     "chow-params-negative-p": ((ChowParams, -1, 3, 0),
@@ -73,15 +75,16 @@ API = {
     "v_pn-p-above-n": ((v_pn, 4, 3), bad("require 0 <= p <= n, got p=4, n=3")),
     "sp_euler-negative-chi-odd-d": ((sp_euler, -2, 1), -2),
     "sp_euler-chi-1": ((sp_euler, 1, 7), 1),
-    "sp_euler-negative-d": ((sp_euler, 3, -1), bad("d must be nonnegative, got -1")),
+    "sp_euler-negative-d": ((sp_euler, 3, -1), bad("degree must be nonnegative, got d=-1")),
     "closed-3-3-0": ((chow_euler_closed, ChowParams(3, 3, 0)), EulerValue(1)),
     "closed-3-3-1": ((chow_euler_closed, ChowParams(3, 3, 1)), EulerValue(1)),
     "closed-3-3-5": ((chow_euler_closed, ChowParams(3, 3, 5)), EulerValue(1)),
     "recursive-1-3-3": ((chow_euler_recursive, ChowParams(1, 3, 3)), EulerValue(56)),
     "points-negative-n": ((points_euler_recursive, -1, 2),
-                          bad("require n >= 0 and d >= 0, got n=-1, d=2")),
+                          bad("require 0 <= p <= n, got p=0, n=-1")),
     "points-negative-d": ((points_euler_recursive, 2, -1),
-                          bad("require n >= 0 and d >= 0, got n=2, d=-1")),
+                          bad("degree must be nonnegative, got d=-1")),
+    "points-float-n": ((points_euler_recursive, 2.0, 3), NOT_AN_INT),
     "chow_series-p-above-n": ((chow_series, 3, 2, 4),
                               bad("require 0 <= p <= n, got p=3, n=2")),
     "chow_series-negative-order": ((chow_series, 1, 2, -1),
@@ -94,24 +97,28 @@ API = {
     "chow_series-functional-float-p": ((chow_series, 1.0, 2, 3, "functional"), NOT_AN_INT),
     "divisor-0-1": ((divisor_check, 0, 1), 2),
     "divisor-negative-p": ((divisor_check, -1, 2),
-                           bad("require p >= 0 and d >= 0, got p=-1, d=2")),
+                           bad("require 0 <= p <= n, got p=-1, n=0")),
     "divisor-negative-d": ((divisor_check, 2, -1),
-                           bad("require p >= 0 and d >= 0, got p=2, d=-1")),
+                           bad("degree must be nonnegative, got d=-1")),
+    "divisor-float-p": ((divisor_check, 1.0, 2), NOT_AN_INT),
     # invariants
     "g-invariant-1-2-3": ((g_invariant_euler, ChowParams(1, 2, 3)), 10),
     "g-invariant-2-2-5": ((g_invariant_euler, ChowParams(2, 2, 5)), 1),
     "quaternionic-3-2-4": ((quaternionic_euler_closed, QuaternionicParams(3, 2, 4)), 1),
     "quaternionic-1-2-2": ((quaternionic_euler_closed, QuaternionicParams(1, 2, 2)), 21),
     "p0-oracle-n-0": ((quaternionic_p0_oracle, 0, 2),
-                      bad("require n >= 1 and d >= 0, got n=0, d=2")),
+                      bad("quaternionic dimension must be >= 1, got n=0")),
     "p0-oracle-negative-d": ((quaternionic_p0_oracle, 2, -1),
-                             bad("require n >= 1 and d >= 0, got n=2, d=-1")),
+                             bad("degree must be nonnegative, got d=-1")),
+    "p0-oracle-float-n": ((quaternionic_p0_oracle, 2.0, 3), NOT_AN_INT),
     "d1-oracle-1-1": ((quaternionic_d1_oracle, 1, 1), 1),
     "d1-oracle-p-above-2n-1": ((quaternionic_d1_oracle, 2, 1),
                                bad("require 0 <= p <= 2n-1, got p=2 with n=1")),
     "d1-oracle-negative-p": ((quaternionic_d1_oracle, -1, 1),
                              bad("require 0 <= p <= 2n-1, got p=-1 with n=1")),
-    "d1-oracle-n-0": ((quaternionic_d1_oracle, 0, 0), bad("require n >= 1, got n=0")),
+    "d1-oracle-n-0": ((quaternionic_d1_oracle, 0, 0),
+                      bad("quaternionic dimension must be >= 1, got n=0")),
+    "d1-oracle-float-n": ((quaternionic_d1_oracle, 1, 2.0), NOT_AN_INT),
     # series; m = 2.5 would give (1, 2.0, 3.0, 4.0), equal to the series for m = 2
     "geom-pow-float-exponent": ((series_geom_pow, 2.5, 3), NOT_AN_INT),
     "geom-pow-whole-float-exponent": ((series_geom_pow, 2.0, 3), NOT_AN_INT),
