@@ -10,6 +10,7 @@ the CLI surfaces it as ``chowchi verify``.  The sweep sizes are chosen so
 the full run finishes in seconds.
 """
 
+import operator
 import time
 
 from ._record import Record
@@ -274,13 +275,13 @@ def run_suite(
     max_d: int = 10,
     order: int = 12,
 ) -> VerificationReport:
-    """Run the suite ``name``, one of ``SUITE_NAMES``; bounds must be nonnegative.
+    """Run the suite ``name``, one of ``SUITE_NAMES``.
 
-    Every suite takes the same bounds and reads the ones its grids use.
-    ``"all"`` runs every suite into one report, and each of its failures
-    carries the originating suite name first in ``inputs``.
+    Every suite takes the same bounds, nonnegative integers, and reads the
+    ones its grids use.  ``"all"`` runs every suite into one report, and each
+    of its failures carries the originating suite name first in ``inputs``.
     """
-    bounds = (max_p, max_n, max_d, order)
+    bounds = tuple(map(operator.index, (max_p, max_n, max_d, order)))
     for label, bound in zip(("max_p", "max_n", "max_d", "order"), bounds):
         if bound < 0:
             raise ValueError(f"{label} must be nonnegative, got {bound}")

@@ -1,6 +1,6 @@
-"""Helpers shared by several test modules: independent expansion oracles,
-the reset of the two route tables, planted defects, the int-to-str digit
-limit, and the one in-process CLI runner.
+"""Helpers shared by several test modules: the reset of the two route
+tables, planted defects, the int-to-str digit limit, and the one in-process
+CLI runner.
 
 ``cli_run(argv)`` returns ``(exit code, stdout, stderr)`` of one
 ``chowchi.cli.main(argv)`` call at 80 columns; argparse's ``SystemExit``
@@ -19,27 +19,7 @@ from unittest import mock
 
 from chowchi.chow import EulerValue, chow_euler_recursive, chow_series
 from chowchi.cli import main
-from chowchi.series import TruncatedSeries, series_geom_pow, series_mul
-
-
-def one_minus_t_pow(m: int, order: int) -> TruncatedSeries:
-    """(1 - t)^m for m >= 0, by literally multiplying the factors."""
-    assert m >= 0
-    factor = TruncatedSeries([1, -1] + [0] * (order - 1)) if order >= 1 \
-        else TruncatedSeries([1])
-    result = TruncatedSeries([1] + [0] * order)
-    for _ in range(m):
-        result = series_mul(result, factor)
-    return result
-
-
-def expand_inv_one_minus_t(a: int, order: int) -> tuple[int, ...]:
-    """Coefficients of (1 - t)^(-a) for any integer a, built without the
-    signed binomial: a geometric power for a >= 0, an explicit polynomial
-    power of (1 - t) for a < 0."""
-    if a >= 0:
-        return series_geom_pow(a, order).coeffs
-    return one_minus_t_pow(-a, order).coeffs
+from chowchi.series import TruncatedSeries
 
 
 def clear_tables():

@@ -22,6 +22,7 @@ from chowchi.chow import (
 from chowchi.invariants import (
     QuaternionicParams,
     g_invariant_euler,
+    quaternionic_d1_oracle,
     quaternionic_euler_closed,
     quaternionic_p0_oracle,
 )
@@ -104,12 +105,10 @@ def _truncated_d1_sum(p, n):
 
 
 def test_criterion_06_quaternionic_hyperplane_convolution(verdict):
-    full_ok = True
-    for n in range(1, 9):
-        for p in range(2 * n):
-            total = sum(
-                binomial(n, i) * binomial(n, p + 1 - i) for i in range(p + 2))
-            full_ok = full_ok and total == binomial(2 * n, p + 1)
+    full_ok = all(
+        quaternionic_d1_oracle(p, n) == binomial(2 * n, p + 1)
+        for n in range(1, 9) for p in range(2 * n)
+    )
     counterexample = None
     for n in range(1, 9):
         for p in range(2 * n):

@@ -8,6 +8,7 @@ only for Python's own ``TypeError`` text, which ``operator.index`` gives a
 float or a string.  A value a doctest already shows is not repeated here.
 """
 
+import math
 import re
 from typing import NamedTuple
 
@@ -18,7 +19,7 @@ from chowchi import (
     chow_euler_closed, chow_euler_recursive, chow_series, divisor_check,
     g_invariant_euler, points_euler_recursive, quaternionic_d1_oracle,
     quaternionic_euler_closed, quaternionic_p0_oracle, series_coefficient,
-    series_geom_pow, series_mul, sp_euler, v_pn)
+    run_suite, series_geom_pow, series_mul, sp_euler, v_pn)
 
 
 class Raises(NamedTuple):
@@ -76,6 +77,10 @@ API = {
     "sp_euler-negative-chi-odd-d": ((sp_euler, -2, 1), -2),
     "sp_euler-chi-1": ((sp_euler, 1, 7), 1),
     "sp_euler-negative-d": ((sp_euler, 3, -1), bad("degree must be nonnegative, got d=-1")),
+    # a loop over the d factors would take seconds at this degree
+    "sp_euler-5-200000": ((sp_euler, 5, 200000), math.comb(200004, 200000)),
+    "sp_euler-minus-5-200000": ((sp_euler, -5, 200000), 0),
+    "sp_euler-minus-200000-5": ((sp_euler, -200000, 5), -math.comb(200000, 5)),
     "closed-3-3-0": ((chow_euler_closed, ChowParams(3, 3, 0)), EulerValue(1)),
     "closed-3-3-1": ((chow_euler_closed, ChowParams(3, 3, 1)), EulerValue(1)),
     "closed-3-3-5": ((chow_euler_closed, ChowParams(3, 3, 5)), EulerValue(1)),
@@ -139,6 +144,10 @@ API = {
                                bad("degree 3 outside series order 2")),
     "coefficient-negative": ((series_coefficient, TruncatedSeries([1, 2, 3]), -1),
                              bad("degree -1 outside series order 2")),
+    # verify; its bounds pass through operator.index, whether or not the
+    # suite reads them
+    "run_suite-float-unread-order": ((run_suite, "base-cases", 0, 0, 0, 0.5), NOT_AN_INT),
+    "run_suite-float-max_p": ((run_suite, "recursion", 1.0, 1, 1, 1), NOT_AN_INT),
 }
 
 

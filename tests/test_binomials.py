@@ -62,11 +62,3 @@ def test_window_gate_property(k_low, extra, from_top):
     k = n - k_low if from_top else k_low
     assert binomial(n, k) == math.comb(n, k)
 
-
-def test_vandermonde_convolution():
-    # index-safe thanks to the out-of-range-gives-zero convention
-    for m in range(17):
-        for n in range(17):
-            for r in range(17):
-                total = sum(binomial(m, i) * binomial(n, r - i) for i in range(r + 1))
-                assert total == binomial(m + n, r)

@@ -1,4 +1,6 @@
-"""Cycle-space Euler characteristics: the three routes and their identities."""
+"""The routes past the recursion limit, and the two route tables: what they
+keep and what they answer under any query order and across threads.  The
+routes' identities are acceptance criteria and ``chowchi verify`` checks."""
 
 import math
 import random
@@ -11,49 +13,13 @@ from hypothesis import example, given, settings, strategies as st
 from chowchi import chow
 from chowchi.chow import (
     ChowParams,
-    chow_euler_closed,
     chow_euler_recursive,
     chow_euler_series,
     chow_series,
     points_euler_recursive,
 )
-from chowchi.series import series_mul
 
 from oracles import clear_tables
-
-
-def test_series_methods_agree():
-    for n in range(7):
-        for p in range(n + 1):
-            assert chow_series(p, n, 12, method="functional") \
-                == chow_series(p, n, 12, method="closed")
-
-
-def test_degree_one_is_pascal():
-    for n in range(1, 17):
-        for p in range(n):
-            left = chow_euler_closed(ChowParams(p + 1, n + 1, 1)).chi
-            assert left == chow_euler_closed(ChowParams(p, n, 1)).chi \
-                + chow_euler_closed(ChowParams(p + 1, n, 1)).chi
-
-
-def test_series_factorization_both_methods():
-    for method in ("closed", "functional"):
-        for n in range(1, 7):
-            for p in range(n):
-                assert chow_series(p + 1, n + 1, 16, method) == series_mul(
-                    chow_series(p + 1, n, 16, method),
-                    chow_series(p, n, 16, method),
-                )
-
-
-def test_chi_is_one_exactly_on_degenerate_cells():
-    for n in range(7):
-        for p in range(n + 1):
-            for d in range(9):
-                chi = chow_euler_closed(ChowParams(p, n, d)).chi
-                assert chi >= 1
-                assert (chi == 1) == (p == n or d == 0)
 
 
 def closed(p, n, d):
