@@ -3,8 +3,9 @@
 The count chi(C_{p,d}(P^n)) of effective p-cycles of degree d in P^n is
 computed by three mutually verifying routes (Lawson-Yau closed form,
 suspension recursion, generating-function arithmetic), together with the
-counts for group-invariant and right quaternionic cycle spaces and for
-symmetric products.  All arithmetic is exact integer arithmetic.
+counts for right quaternionic cycle spaces and for symmetric products.  The
+closed form also counts the cycles fixed by a diagonalizable group action.
+All arithmetic is exact integer arithmetic.
 
 Quick use::
 

@@ -145,8 +145,10 @@ def chow_euler_closed(params: ChowParams) -> EulerValue:
 
     It counts the torus-fixed cycles, the degree-d multisets of the
     v = C(n+1, p+1) coordinate p-planes.  The same number is the l-adic
-    Euler-Poincare characteristic over any algebraically closed field, so
-    there is no separate l-adic code path.
+    Euler-Poincare characteristic over any algebraically closed field, and
+    the chi of the cycles fixed by a diagonalizable linear action g, since
+    chi(X^g) = chi(X^T) = chi(X) for a torus T containing g; neither
+    reading has a code path of its own.
 
     >>> chow_euler_closed(ChowParams(0, 2, 2)).chi
     6

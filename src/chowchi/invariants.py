@@ -1,9 +1,10 @@
 """Cycle spaces with extra symmetry: group-invariant and quaternionic cycles.
 
 For a diagonalizable linear group action on P^n the invariant cycle count
-equals the unconstrained one, and the space of right quaternionic cycles in
-P^{2n-1} (those fixed by the holomorphic involution induced by right
-quaternion multiplication by j) is a special case.  Two decomposition
+equals the unconstrained one, ``chow.chow_euler_closed``, so it has no
+function of its own.  The space of right quaternionic cycles in P^{2n-1}
+(those fixed by the holomorphic involution induced by right quaternion
+multiplication by j) is the special case counted here.  Two decomposition
 oracles recompute small cases by entirely different sums: symmetric products
 of a disjoint pair of projective spaces for p = 0, and pairs of eigenspace
 Grassmannians for d = 1.
@@ -13,11 +14,10 @@ from operator import attrgetter, index
 
 from ._record import Record, field_setters
 from .binomials import binomial
-from .chow import ChowParams, sp_euler, v_pn
+from .chow import sp_euler, v_pn
 
 __all__ = [
     "QuaternionicParams",
-    "g_invariant_euler",
     "quaternionic_euler_closed",
     "quaternionic_p0_oracle",
     "quaternionic_d1_oracle",
@@ -50,26 +50,6 @@ class QuaternionicParams(Record):
 
 
 _set_p, _set_n, _set_d = field_setters(QuaternionicParams)
-
-
-def g_invariant_euler(params: ChowParams) -> int:
-    """chi of the locus of cycles in C_{p,d}(P^n) fixed by a diagonalizable
-    linear group action.
-
-    The count does not depend on which diagonalizable group acts: it is
-    ``sp_euler(v, d)``, the number of degree-d multisets of the
-    v = C(n+1, p+1) torus-fixed coordinate p-planes, exactly the
-    unconstrained ``chow_euler_closed``.  Diagonalizability is a caller
-    obligation; the representation itself is not modeled.  The count also
-    satisfies the same suspension recursion as the plain cycle spaces, which
-    ``chow_euler_recursive`` exercises.
-
-    >>> g_invariant_euler(ChowParams(0, 1, 2))
-    3
-    >>> g_invariant_euler(ChowParams(2, 2, 9))
-    1
-    """
-    return sp_euler(v_pn(params.p, params.n), params.d)
 
 
 def quaternionic_euler_closed(params: QuaternionicParams) -> int:

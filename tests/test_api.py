@@ -17,9 +17,9 @@ import pytest
 from chowchi import (
     ChowParams, EulerValue, QuaternionicParams, TruncatedSeries, binomial,
     chow_euler_closed, chow_euler_recursive, chow_series, divisor_check,
-    g_invariant_euler, points_euler_recursive, quaternionic_d1_oracle,
-    quaternionic_euler_closed, quaternionic_p0_oracle, series_coefficient,
-    run_suite, series_geom_pow, series_mul, sp_euler, v_pn)
+    points_euler_recursive, quaternionic_d1_oracle, quaternionic_euler_closed,
+    quaternionic_p0_oracle, series_coefficient, run_suite, series_geom_pow,
+    series_mul, sp_euler, v_pn)
 
 
 class Raises(NamedTuple):
@@ -107,8 +107,6 @@ API = {
                            bad("degree must be nonnegative, got d=-1")),
     "divisor-float-p": ((divisor_check, 1.0, 2), NOT_AN_INT),
     # invariants
-    "g-invariant-1-2-3": ((g_invariant_euler, ChowParams(1, 2, 3)), 10),
-    "g-invariant-2-2-5": ((g_invariant_euler, ChowParams(2, 2, 5)), 1),
     "quaternionic-3-2-4": ((quaternionic_euler_closed, QuaternionicParams(3, 2, 4)), 1),
     "quaternionic-1-2-2": ((quaternionic_euler_closed, QuaternionicParams(1, 2, 2)), 21),
     "p0-oracle-n-0": ((quaternionic_p0_oracle, 0, 2),

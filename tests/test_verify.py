@@ -111,11 +111,12 @@ _KILLS = {
     "binomial-at-7-3": _defect(binomials.binomial, lambda n, k: (n, k) == (7, 3), {
         "recursive-vs-closed": 27, "series-vs-closed": 12, "pascal-at-degree-one": 2,
         "divisor-space": 1, "series-factorization": 4, "signed-binomial-vs-series": 1,
-        "p0-oracle": 8, "sp-at-nonpositive-chi": 1, "points-recursion": 1}),
+        "p0-oracle": 8, "sp-at-nonpositive-chi": 1, "points-recursion": 1,
+        "group-invariant-match": 2}),
     "binomial-at-k2-n20-up": _defect(
         binomials.binomial, lambda n, k: k == 2 and n >= 20,
         {"recursive-vs-closed": 5, "series-vs-closed": 5, "ambient-match": 22,
-         "sp-at-nonpositive-chi": 1}),
+         "group-invariant-match": 5, "sp-at-nonpositive-chi": 1}),
     # every k in verify is at most 60, so the window method never runs
     "window-binomial": _defect(binomials._window_binomial, lambda n, k: True, {}),
     "v_pn-at-1-3": _defect(chow.v_pn, lambda p, n: (p, n) == (1, 3), {
@@ -123,7 +124,8 @@ _KILLS = {
         "d1-oracle": 1}),
     "sp_euler-at-chi30-d2-up": _defect(
         chow.sp_euler, lambda chi, d: chi >= 30 and d >= 2,
-        {"recursive-vs-closed": 18, "series-vs-closed": 18, "ambient-match": 171}),
+        {"recursive-vs-closed": 18, "series-vs-closed": 18, "ambient-match": 171,
+         "group-invariant-match": 18}),
     "sp_euler-at-negative-chi": _defect(
         chow.sp_euler, lambda chi, d: chi < 0, {"sp-at-nonpositive-chi": 20}),
     "sp_euler-at-chi0-d15": _defect(
@@ -140,7 +142,8 @@ _KILLS = {
     "series_geom_pow-at-m3": _defect(
         series.series_geom_pow, lambda m, order: m == 3,
         {"geom-pow-additivity": 33, "series-factorization": 19,
-         "signed-binomial-vs-series": 1, "sp-at-nonpositive-chi": 1}),
+         "signed-binomial-vs-series": 1, "group-invariant-match": 2,
+         "sp-at-nonpositive-chi": 1}),
     "series_coefficient-at-d2": _defect(
         series.series_coefficient, lambda s, d: d == 2,
         {"signed-binomial-vs-series": 17}),
@@ -175,15 +178,13 @@ _KILLS = {
     # the CLI's --method series route
     "chow_euler_series-at-1-3-2": _defect(
         chow.chow_euler_series, _at(1, 3, 2), {"series-vs-closed": 1}),
-    "g_invariant_euler-at-2-3-2": _defect(
-        invariants.g_invariant_euler, _at(2, 3, 2), {"group-invariant-match": 1}),
     "quaternionic_euler_closed-at-1-3-4": _defect(
         invariants.quaternionic_euler_closed, _at(1, 3, 4), {"ambient-match": 1}),
     # Q_{1,3} is the ambient series of quaternionic n = 2
     "chow_series-closed-at-1-3": _defect(
         chow.chow_series,
         lambda p, n, order, method="closed": (p, n, method) == (1, 3, "closed"),
-        {"series-factorization": 4, "ambient-match": 1},
+        {"series-factorization": 4, "ambient-match": 1, "group-invariant-match": 1},
         _entry("quaternionic", "ambient-match", {"p": "1", "n": "2", "d": "10"},
                ("closed-series", "3004"), ("quaternionic-closed", "3003"))),
     "suspension-edge-0-2": _defect(chow._grow_suspension, (0, 2),
@@ -311,16 +312,21 @@ def test_each_case_computes_each_side_once(monkeypatch):
             return route(*args)
         return wrapper
 
-    for name in ("chow_euler_closed", "series_mul", "quaternionic_d1_oracle"):
+    for name in ("chow_euler_closed", "chow_series", "series_mul",
+                 "quaternionic_d1_oracle"):
         monkeypatch.setattr(verify_mod, name, counting(name))
     run_suite("quaternionic", 4, 6, 10, 12)
-    # group-invariant-match only; one d1 oracle per (p, n) for both its
-    # checks; one product per sp-at-nonpositive-chi case
-    assert calls == {"chow_euler_closed": 308, "quaternionic_d1_oracle": 42,
-                     "series_mul": 21}
+    # chow_euler_closed in group-invariant-match only; one closed series per
+    # (p, n) for ambient-match (42) and for group-invariant-match (28); one d1
+    # oracle per (p, n) for both its checks; one product per
+    # sp-at-nonpositive-chi case
+    assert calls == {"chow_euler_closed": 308, "chow_series": 42 + 28,
+                     "quaternionic_d1_oracle": 42, "series_mul": 21}
     calls.clear()
     run_suite("series", 4, 6, 10, 12)
-    assert calls == {"series_mul": 17 * 17 + 21}  # closed factorization only
+    # series_mul for the closed factorization only; each closed Q_{p,n} once
+    # (2 + 3 + ... + 8) and one functional series per factorization case
+    assert calls == {"series_mul": 17 * 17 + 21, "chow_series": 35 + 21}
 
 
 # cases run by each of SUITE_NAMES: recursion, series, quaternionic,
