@@ -52,7 +52,6 @@ __all__ = [
     "chow_euler_series",
     "points_euler_recursive",
     "chow_series",
-    "divisor_check",
 ]
 
 SERIES_CLOSED = "closed"
@@ -346,20 +345,3 @@ def chow_euler_series(params: ChowParams) -> EulerValue:
     coeffs = _cell(_FUNCTIONAL, _grow_functional,
                    params.p, params.n - params.p, params.d + 1)
     return EulerValue(coeffs[params.d])
-
-
-def divisor_check(p: int, d: int) -> int:
-    """chi(C_{p,d}(P^{p+1})) = C(p+d+1, d), the divisor-space value.
-
-    Degree-d hypersurfaces in P^{p+1} form a projective space of dimension
-    C(p+d+1, d) - 1 (one homogeneous coordinate per degree-d monomial in
-    p + 2 variables), whence the count.  ``verify`` compares it with the
-    suspension recursion on (p, p+1, d).
-
-    >>> divisor_check(1, 2)    # conics in the plane form a P^5
-    6
-    >>> divisor_check(2, 3)
-    20
-    """
-    p, d = attrgetter("p", "d")(ChowParams(p, p + 1, d))
-    return binomial(p + d + 1, d)

@@ -14,7 +14,6 @@ __all__ = [
     "TruncatedSeries",
     "series_geom_pow",
     "series_mul",
-    "series_coefficient",
 ]
 
 
@@ -89,14 +88,3 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     # rb[n - d:] is cb[d], ..., cb[0]; map stops at the shorter operand
     n, ca, rb = a.order, a.coeffs, b.coeffs[::-1]
     return TruncatedSeries([sum(map(mul, ca, rb[n - d:])) for d in range(n + 1)])
-
-
-def series_coefficient(s: TruncatedSeries, d: int) -> int:
-    """The coefficient of t^d; ``d`` must lie within the truncation order.
-
-    >>> series_coefficient(TruncatedSeries([1, 2, 3]), 1)
-    2
-    """
-    if d < 0 or d > s.order:
-        raise ValueError(f"degree {d} outside series order {s.order}")
-    return s.coeffs[d]

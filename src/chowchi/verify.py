@@ -23,7 +23,6 @@ from .chow import (
     chow_euler_recursive,
     chow_euler_series,
     chow_series,
-    divisor_check,
     points_euler_recursive,
     sp_euler,
 )
@@ -33,7 +32,7 @@ from .invariants import (
     quaternionic_euler_closed,
     quaternionic_p0_oracle,
 )
-from .series import TruncatedSeries, series_coefficient, series_geom_pow, series_mul
+from .series import TruncatedSeries, series_geom_pow, series_mul
 
 __all__ = ["VerificationReport", "SUITE_NAMES", "run_suite"]
 
@@ -157,8 +156,9 @@ def _recursion(check, max_p: int, max_n: int, max_d: int, order: int):
         # the suspension row b = 1, grown to max_d once
         chow_euler_recursive(ChowParams(p, p + 1, max_d))
         for d in range(max_d + 1):
+            # the degree-d monomials in p + 2 variables
             check({"check": "divisor-space", "p": p, "d": d},
-                  "monomial-count", divisor_check(p, d),
+                  "monomial-count", binomial(p + d + 1, d),
                   "recursive", chow_euler_recursive(ChowParams(p, p + 1, d)).chi)
 
 
@@ -205,7 +205,7 @@ def _series(check, max_p: int, max_n: int, max_d: int, order: int):
     for m in range(_MAX_POW + 1):
         for d in range(order + 1):
             check({"check": "signed-binomial-vs-series", "m": m, "d": d},
-                  "series", series_coefficient(geom[m], d),
+                  "series", geom[m].coeffs[d],
                   "signed-binomial", sp_euler(m, d))
 
 

@@ -16,10 +16,10 @@ import pytest
 
 from chowchi import (
     ChowParams, EulerValue, QuaternionicParams, TruncatedSeries, binomial,
-    chow_euler_closed, chow_euler_recursive, chow_series, divisor_check,
+    chow_euler_closed, chow_euler_recursive, chow_series,
     points_euler_recursive, quaternionic_d1_oracle, quaternionic_euler_closed,
-    quaternionic_p0_oracle, series_coefficient, run_suite, series_geom_pow,
-    series_mul, sp_euler, v_pn)
+    quaternionic_p0_oracle, run_suite, series_geom_pow, series_mul, sp_euler,
+    v_pn)
 
 
 class Raises(NamedTuple):
@@ -37,8 +37,8 @@ NOT_AN_INT = Raises(TypeError, None)
 API = {
     "binomial-0-0": ((binomial, 0, 0), 1),
     # records pass each field through operator.index: no float reaches a route,
-    # nor the point count, the divisor count or the two quaternionic oracles,
-    # which validate through them
+    # nor the point count or the two quaternionic oracles, which validate
+    # through them
     "chow-params-p-above-n": ((ChowParams, 2, 1, 0),
                               bad("require 0 <= p <= n, got p=2, n=1")),
     "chow-params-negative-p": ((ChowParams, -1, 3, 0),
@@ -100,12 +100,6 @@ API = {
     "chow_series-closed-float-p": ((chow_series, 1.0, 2, 3, "closed"), NOT_AN_INT),
     "chow_series-functional-float-n": ((chow_series, 1, 2.0, 3, "functional"), NOT_AN_INT),
     "chow_series-functional-float-p": ((chow_series, 1.0, 2, 3, "functional"), NOT_AN_INT),
-    "divisor-0-1": ((divisor_check, 0, 1), 2),
-    "divisor-negative-p": ((divisor_check, -1, 2),
-                           bad("require 0 <= p <= n, got p=-1, n=0")),
-    "divisor-negative-d": ((divisor_check, 2, -1),
-                           bad("degree must be nonnegative, got d=-1")),
-    "divisor-float-p": ((divisor_check, 1.0, 2), NOT_AN_INT),
     # invariants
     "quaternionic-3-2-4": ((quaternionic_euler_closed, QuaternionicParams(3, 2, 4)), 1),
     "quaternionic-1-2-2": ((quaternionic_euler_closed, QuaternionicParams(1, 2, 2)), 21),
@@ -136,12 +130,6 @@ API = {
     "mul-order-mismatch": (
         (series_mul, TruncatedSeries([1, 1]), TruncatedSeries([1, 1, 1])),
         bad("series order mismatch: 1 != 2")),
-    "coefficient-geom-pow-6": ((series_coefficient, series_geom_pow(6, 8), 2), 21),
-    "coefficient-at-order": ((series_coefficient, series_geom_pow(1, 8), 8), 1),
-    "coefficient-past-order": ((series_coefficient, TruncatedSeries([1, 2, 3]), 3),
-                               bad("degree 3 outside series order 2")),
-    "coefficient-negative": ((series_coefficient, TruncatedSeries([1, 2, 3]), -1),
-                             bad("degree -1 outside series order 2")),
     # verify; its bounds pass through operator.index, whether or not the
     # suite reads them
     "run_suite-float-unread-order": ((run_suite, "base-cases", 0, 0, 0, 0.5), NOT_AN_INT),
