@@ -45,7 +45,6 @@ __all__ = [
     "EulerValue",
     "SERIES_CLOSED",
     "SERIES_FUNCTIONAL",
-    "v_pn",
     "sp_euler",
     "chow_euler_closed",
     "chow_euler_recursive",
@@ -100,21 +99,6 @@ class EulerValue(Record):
 (_set_chi,) = field_setters(EulerValue)
 
 
-def v_pn(p: int, n: int) -> int:
-    """The exponent v = C(n+1, p+1) attached to C_{p,d}(P^n).
-
-    >>> v_pn(0, 1)
-    2
-    >>> v_pn(1, 3)
-    6
-    >>> v_pn(4, 4)
-    1
-    """
-    if not 0 <= p <= n:
-        raise ValueError(f"require 0 <= p <= n, got p={p}, n={n}")
-    return binomial(n + 1, p + 1)
-
-
 def sp_euler(chi: int, d: int) -> int:
     """chi of the d-fold symmetric product of a space with Euler characteristic chi.
 
@@ -154,7 +138,7 @@ def chow_euler_closed(params: ChowParams) -> EulerValue:
     >>> chow_euler_closed(ChowParams(3, 3, 9)).chi   # one cycle per degree
     1
     """
-    return EulerValue(sp_euler(v_pn(params.p, params.n), params.d))
+    return EulerValue(sp_euler(binomial(params.n + 1, params.p + 1), params.d))
 
 
 # Both tables are dicts of cells (a, b) = (p, n - p), a, b >= 0.  An inner
@@ -322,7 +306,7 @@ def chow_series(p: int, n: int, order: int, method: str = SERIES_CLOSED) -> Trun
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
     if method == SERIES_CLOSED:
-        return series_geom_pow(v_pn(p, n), order)
+        return series_geom_pow(binomial(n + 1, p + 1), order)
     if method == SERIES_FUNCTIONAL:
         coeffs = _cell(_FUNCTIONAL, _grow_functional, p, n - p, order + 1)
         return TruncatedSeries(coeffs[:order + 1])

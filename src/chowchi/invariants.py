@@ -14,7 +14,7 @@ from operator import attrgetter, index
 
 from ._record import Record, field_setters
 from .binomials import binomial
-from .chow import sp_euler, v_pn
+from .chow import sp_euler
 
 __all__ = [
     "QuaternionicParams",
@@ -65,7 +65,7 @@ def quaternionic_euler_closed(params: QuaternionicParams) -> int:
     >>> quaternionic_euler_closed(QuaternionicParams(1, 1, 5))
     1
     """
-    return sp_euler(v_pn(params.p, 2 * params.n - 1), params.d)
+    return sp_euler(binomial(2 * params.n, params.p + 1), params.d)
 
 
 def quaternionic_p0_oracle(n: int, d: int) -> int:

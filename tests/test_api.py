@@ -18,8 +18,7 @@ from chowchi import (
     ChowParams, EulerValue, QuaternionicParams, TruncatedSeries, binomial,
     chow_euler_closed, chow_euler_recursive, chow_series,
     points_euler_recursive, quaternionic_d1_oracle, quaternionic_euler_closed,
-    quaternionic_p0_oracle, run_suite, series_geom_pow, series_mul, sp_euler,
-    v_pn)
+    quaternionic_p0_oracle, run_suite, series_geom_pow, series_mul, sp_euler)
 
 
 class Raises(NamedTuple):
@@ -67,13 +66,6 @@ API = {
     "series-empty": ((TruncatedSeries, []),
                      bad("a series carries at least its constant coefficient")),
     # chow
-    "v_pn-0-0": ((v_pn, 0, 0), 1),
-    "v_pn-1-1": ((v_pn, 1, 1), 1),
-    "v_pn-2-2": ((v_pn, 2, 2), 1),
-    "v_pn-3-3": ((v_pn, 3, 3), 1),
-    "v_pn-5-5": ((v_pn, 5, 5), 1),
-    "v_pn-negative-p": ((v_pn, -1, 3), bad("require 0 <= p <= n, got p=-1, n=3")),
-    "v_pn-p-above-n": ((v_pn, 4, 3), bad("require 0 <= p <= n, got p=4, n=3")),
     "sp_euler-negative-chi-odd-d": ((sp_euler, -2, 1), -2),
     "sp_euler-chi-1": ((sp_euler, 1, 7), 1),
     "sp_euler-negative-d": ((sp_euler, 3, -1), bad("degree must be nonnegative, got d=-1")),
