@@ -22,11 +22,6 @@ def test_order_and_coefficients():
     assert [type(c) for c in TruncatedSeries((True, 2)).coeffs] == [int, int]
 
 
-def test_equality_requires_equal_order():
-    assert TruncatedSeries([1, 2]) == TruncatedSeries([1, 2])
-    assert TruncatedSeries([1, 2]) != TruncatedSeries([1, 2, 0])
-
-
 # Each frozen value type: a field, the value built by position and by
 # keyword, and its repr.
 VALUES = [

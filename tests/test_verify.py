@@ -18,14 +18,6 @@ from chowchi.verify import SUITE_NAMES, VerificationReport, run_suite
 from oracles import clear_tables, int_digit_limit, one_too_large, plant
 
 
-def test_suite_names_cover_dispatch():
-    for name in SUITE_NAMES:
-        report = run_suite(name, max_p=2, max_n=3, max_d=4, order=6)
-        assert report.suite == name
-        assert report.ok
-        assert report.cases_run > 0
-
-
 def test_run_suite_rejects_unknown_name():
     with pytest.raises(ValueError, match="^unknown suite 'spectral'; choose from recursion, "
                        "series, quaternionic, base-cases, all$"):
@@ -35,17 +27,6 @@ def test_run_suite_rejects_unknown_name():
 def test_run_suite_rejects_negative_bounds():
     with pytest.raises(ValueError, match="^max_p must be nonnegative, got -1$"):
         run_suite("recursion", max_p=-1, max_n=3, max_d=4, order=6)
-
-
-def test_report_json_shape():
-    report = run_suite("recursion", max_p=1, max_n=2, max_d=3, order=4)
-    payload = report.to_json_dict()
-    assert payload["suite"] == "recursion"
-    assert payload["cases_run"] == str(report.cases_run)
-    assert payload["failures"] == []
-    assert isinstance(payload["elapsed_ms"], str)
-    int(payload["cases_run"])
-    int(payload["elapsed_ms"])
 
 
 def test_elapsed_ms_is_whole_milliseconds_of_the_clock(monkeypatch):
@@ -282,21 +263,6 @@ def test_decimal_renders_like_str_under_the_least_limit(value):
         assert sys.get_int_max_str_digits() == 640
 
 
-def test_base_cases_catch_a_lying_point_recursion(monkeypatch):
-    honest = verify_mod.points_euler_recursive
-
-    def lying(n, d):
-        return honest(n, d) + ((n, d) == (2, 3))
-
-    monkeypatch.setattr(verify_mod, "points_euler_recursive", lying)
-    failures = run_suite("base-cases", 2, 3, 4, 6).to_json_dict()["failures"]
-    assert failures == [{
-        "inputs": {"check": "points-recursion", "n": "2", "d": "3"},
-        "expected": {"path": "binomial", "value": "10"},
-        "actual": {"path": "points-recursive", "value": "11"},
-    }]
-
-
 def test_each_case_computes_each_side_once(monkeypatch):
     calls = Counter()
 
@@ -380,6 +346,10 @@ def test_every_export_resolves():
                 clear()
     for module, name in [
             (chow, "SERIES_FUNCTIONAL"), (chow, "ChowParams"),
+            (chow, "chow_euler_closed"), (chow, "chow_euler_recursive"),
+            (chow, "chow_series"), (chow, "points_euler_recursive"),
             (invariants, "QuaternionicParams"), (invariants, "quaternionic_euler_closed"),
             (invariants, "sp_euler"), (cli, "build_parser"), (cli, "main")]:
         assert hasattr(module, name), f"{module.__name__}.{name}"
+    # its tracer checks that it restored chow's binding of the primitive
+    assert chow.binomial is binomials.binomial
