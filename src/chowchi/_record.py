@@ -5,10 +5,37 @@ validates its arguments and stores each field through the setters that
 ``field_setters`` returns.
 Equality (only with the same type), hashing, the ``Name(field=value, ...)``
 repr and pickling follow from the field values; assigning or deleting a
-field raises ``AttributeError``.
+field raises ``AttributeError``.  The repr shows each int in full through
+``_decimal``, the one int-to-text path, which ``verify`` and the CLI share.
 """
 
 __all__ = ["Record", "field_setters"]
+
+# An int renders _CHUNK digits at a time: 600 is below 640, the least
+# nonzero int-to-str limit (CVE-2020-10735) an interpreter accepts, so no
+# str() call here meets a limit the caller set, and none is changed
+_CHUNK = 600
+_CHUNK_BASE = 10**_CHUNK
+
+
+def _int_text(value) -> str:
+    """``repr(value)``, in full for an int of any size."""
+    if not isinstance(value, int) or -_CHUNK_BASE < value < _CHUNK_BASE:
+        return repr(value)
+    rest, chunks = abs(value), []
+    while rest >= _CHUNK_BASE:
+        rest, low = divmod(rest, _CHUNK_BASE)
+        chunks.append(str(low).zfill(_CHUNK))
+    chunks.append(str(rest))
+    return ("-" if value < 0 else "") + "".join(reversed(chunks))
+
+
+def _decimal(value) -> str:
+    """``repr(value)``, with every int, alone or in a tuple, in full at any size."""
+    if not isinstance(value, tuple):
+        return _int_text(value)
+    items = [_int_text(v) for v in value]
+    return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
 
 
 def field_setters(cls) -> tuple:
@@ -38,7 +65,8 @@ class Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={_decimal(getattr(self, name))}"
+                           for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):

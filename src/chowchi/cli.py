@@ -40,7 +40,8 @@ from .invariants import (
     quaternionic_euler_closed,
     quaternionic_p0_oracle,
 )
-from .verify import SUITE_NAMES, _decimal, run_suite
+from ._record import _decimal
+from .verify import SUITE_NAMES, run_suite
 
 __all__ = ["main", "build_parser", "EXIT_BROKEN_PIPE", "EXIT_INTERNAL_ERROR"]
 

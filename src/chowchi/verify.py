@@ -13,7 +13,7 @@ the full run finishes in seconds.
 import operator
 import time
 
-from ._record import Record
+from ._record import Record, _decimal
 from .binomials import binomial
 from .chow import (
     ChowParams,
@@ -35,30 +35,6 @@ from .invariants import (
 from .series import TruncatedSeries, series_geom_pow, series_mul
 
 __all__ = ["VerificationReport", "SUITE_NAMES", "run_suite"]
-
-# A count renders _CHUNK digits at a time: 600 is below 640, the least
-# nonzero int-to-str limit (CVE-2020-10735) an interpreter accepts, so no
-# str() call in _decimal meets a limit the caller set, and none is changed
-_CHUNK = 600
-_CHUNK_BASE = 10**_CHUNK
-
-
-def _decimal(value) -> str:
-    """``str(value)`` for an int, or a tuple of ints, of any size."""
-    if isinstance(value, tuple):
-        items = [_decimal(v) for v in value]
-        return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
-    if not isinstance(value, int) or -_CHUNK_BASE < value < _CHUNK_BASE:
-        return str(value)
-    if value < 0:
-        return "-" + _decimal(-value)
-    chunks = []
-    while value >= _CHUNK_BASE:
-        value, low = divmod(value, _CHUNK_BASE)
-        chunks.append(str(low).zfill(_CHUNK))
-    chunks.append(str(value))
-    return "".join(reversed(chunks))
-
 
 class VerificationReport(Record):
     """Outcome of a consistency sweep: case count, failure entries, wall time.

@@ -32,6 +32,12 @@ VALUES = [
     ("chi", EulerValue(21), EulerValue(chi=21), "EulerValue(chi=21)"),
     ("p", QuaternionicParams(1, 2, 3), QuaternionicParams(p=1, n=2, d=3),
      "QuaternionicParams(p=1, n=2, d=3)"),
+    # past the default int-to-str limit of 4300 digits: printed in full
+    ("chi", EulerValue(10**5000), EulerValue(chi=10**5000),
+     "EulerValue(chi=1" + "0" * 5000 + ")"),
+    ("coeffs", TruncatedSeries((10**5000, -(10**4500 - 1))),
+     TruncatedSeries(coeffs=(10**5000, -(10**4500 - 1))),
+     "TruncatedSeries(coeffs=(1" + "0" * 5000 + ", -" + "9" * 4500 + "))"),
 ]
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import chowchi
 import chowchi.verify as verify_mod
-from chowchi import binomials, chow, cli, invariants, series
+from chowchi import _record, binomials, chow, cli, invariants, series
 from chowchi.chow import ChowParams, EulerValue, chow_euler_closed
 from chowchi.verify import SUITE_NAMES, VerificationReport, run_suite
 
@@ -251,15 +251,18 @@ _RENDERED = [
     pytest.param(False, id="false"), pytest.param((), id="empty-tuple"),
     pytest.param((10**5000,), id="1-tuple"),
     pytest.param((10**4400 + 7, -(3**9000)), id="2-tuple"),
+    pytest.param("adhoc", id="str"),
 ]
 
 
 @pytest.mark.parametrize("value", _RENDERED)
 def test_decimal_renders_like_str_under_the_least_limit(value):
+    # repr, which str matches on ints, bools and tuples of ints; the "str"
+    # case pins the fallback for any other value
     with int_digit_limit(0):
-        expected = str(value)
+        expected = repr(value)
     with int_digit_limit(640):      # the least nonzero limit
-        assert verify_mod._decimal(value) == expected
+        assert _record._decimal(value) == expected
         assert sys.get_int_max_str_digits() == 640
 
 
