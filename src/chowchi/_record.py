@@ -6,7 +6,8 @@ validates its arguments and stores each field through the setters that
 Equality (only with the same type), hashing, the ``Name(field=value, ...)``
 repr and pickling follow from the field values; assigning or deleting a
 field raises ``AttributeError``.  The repr shows each int in full through
-``_decimal``, the one int-to-text path, which ``verify`` and the CLI share.
+``_decimal``, the one int-to-text path, which ``verify``, the CLI and every
+other module's error messages share.
 """
 
 __all__ = ["Record", "field_setters"]

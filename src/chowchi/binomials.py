@@ -21,6 +21,8 @@ import math
 from itertools import compress, repeat
 from operator import floordiv, mul
 
+from ._record import _decimal
+
 __all__ = ["binomial"]
 
 # From here the window method is at least as fast as ``math.comb`` for n up
@@ -48,7 +50,7 @@ def binomial(n: int, k: int) -> int:
     0
     """
     if n < 0:
-        raise ValueError(f"upper argument must be nonnegative, got n={n}")
+        raise ValueError(f"upper argument must be nonnegative, got n={_decimal(n)}")
     if k < 0:
         return 0
     if k < _WINDOW_MIN_K or n - k < _WINDOW_MIN_K:

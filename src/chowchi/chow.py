@@ -36,7 +36,7 @@ from collections.abc import Callable
 from itertools import accumulate
 from operator import attrgetter, index, mul
 
-from ._record import Record, field_setters
+from ._record import Record, _decimal, field_setters
 from .binomials import binomial
 from .series import TruncatedSeries, series_geom_pow, series_mul
 
@@ -75,9 +75,9 @@ class ChowParams(Record):
     def __init__(self, p: int, n: int, d: int):
         p, n, d = index(p), index(n), index(d)
         if not 0 <= p <= n:
-            raise ValueError(f"require 0 <= p <= n, got p={p}, n={n}")
+            raise ValueError(f"require 0 <= p <= n, got p={_decimal(p)}, n={_decimal(n)}")
         if d < 0:
-            raise ValueError(f"degree must be nonnegative, got d={d}")
+            raise ValueError(f"degree must be nonnegative, got d={_decimal(d)}")
         _set_p(self, p)
         _set_n(self, n)
         _set_d(self, d)
@@ -116,7 +116,7 @@ def sp_euler(chi: int, d: int) -> int:
     1
     """
     if d < 0:
-        raise ValueError(f"degree must be nonnegative, got d={d}")
+        raise ValueError(f"degree must be nonnegative, got d={_decimal(d)}")
     if chi > 0:
         return binomial(chi + d - 1, d)
     c = binomial(-chi, d)
@@ -304,13 +304,13 @@ def chow_series(p: int, n: int, order: int, method: str = SERIES_CLOSED) -> Trun
     """
     p, n = attrgetter("p", "n")(ChowParams(p, n, 0))
     if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
+        raise ValueError(f"order must be nonnegative, got {_decimal(order)}")
     if method == SERIES_CLOSED:
         return series_geom_pow(binomial(n + 1, p + 1), order)
     if method == SERIES_FUNCTIONAL:
         coeffs = _cell(_FUNCTIONAL, _grow_functional, p, n - p, order + 1)
         return TruncatedSeries(coeffs[:order + 1])
-    raise ValueError(f"unknown series method {method!r}")
+    raise ValueError(f"unknown series method {_decimal(method)}")
 
 
 chow_series.cache_clear = _clearer(_FUNCTIONAL)

@@ -119,7 +119,7 @@ def _cmd_quaternionic(args) -> tuple:
 def _cmd_table(args) -> tuple:
     # chow_series would reject it too, but as order, which is not an option of table
     if args.max_d < 0:
-        raise ValueError(f"max_d must be nonnegative, got {args.max_d}")
+        raise ValueError(f"max_d must be nonnegative, got {_decimal(args.max_d)}")
     # the closed series is the whole table; it also validates p and n
     coeffs = chow_series(args.p, args.n, args.max_d).coeffs
     rows = [(str(d), _decimal(chi)) for d, chi in enumerate(coeffs)]

@@ -8,7 +8,7 @@ unambiguous.  Values are immutable, safe to share and never hold a float.
 
 from operator import index, mul
 
-from ._record import Record, field_setters
+from ._record import Record, _decimal, field_setters
 
 __all__ = [
     "TruncatedSeries",
@@ -67,9 +67,9 @@ def series_geom_pow(m: int, order: int) -> TruncatedSeries:
     """
     m = index(m)
     if m < 0:
-        raise ValueError(f"exponent must be nonnegative, got {m}")
+        raise ValueError(f"exponent must be nonnegative, got {_decimal(m)}")
     if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
+        raise ValueError(f"order must be nonnegative, got {_decimal(order)}")
     coeffs = [1]
     for d in range(1, order + 1):
         coeffs.append(coeffs[-1] * (m + d - 1) // d)
@@ -84,7 +84,8 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     (1, 5, 9)
     """
     if a.order != b.order:
-        raise ValueError(f"series order mismatch: {a.order} != {b.order}")
+        raise ValueError(
+            f"series order mismatch: {_decimal(a.order)} != {_decimal(b.order)}")
     # rb[n - d:] is cb[d], ..., cb[0]; map stops at the shorter operand
     n, ca, rb = a.order, a.coeffs, b.coeffs[::-1]
     return TruncatedSeries([sum(map(mul, ca, rb[n - d:])) for d in range(n + 1)])

@@ -262,10 +262,10 @@ def run_suite(
     bounds = tuple(map(operator.index, (max_p, max_n, max_d, order)))
     for label, bound in zip(("max_p", "max_n", "max_d", "order"), bounds):
         if bound < 0:
-            raise ValueError(f"{label} must be nonnegative, got {bound}")
-    if name != "all" and name not in _SUITES:
+            raise ValueError(f"{label} must be nonnegative, got {_decimal(bound)}")
+    if name not in SUITE_NAMES:
         raise ValueError(
-            f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+            f"unknown suite {_decimal(name)}; choose from {', '.join(SUITE_NAMES)}")
     report = VerificationReport(name)
     t0 = time.perf_counter()
     for suite, sweep in _SUITES.items():

@@ -32,6 +32,8 @@ def bad(message):
 
 
 NOT_AN_INT = Raises(TypeError, None)
+# 10^5000 and its text, spelled out: str() of it would meet the digit limit
+BIG, BIG_TEXT = 10**5000, "1" + "0" * 5000
 
 API = {
     "binomial-0-0": ((binomial, 0, 0), 1),
@@ -126,6 +128,38 @@ API = {
     # suite reads them
     "run_suite-float-unread-order": ((run_suite, "base-cases", 0, 0, 0, 0.5), NOT_AN_INT),
     "run_suite-float-max_p": ((run_suite, "recursion", 1.0, 1, 1, 1), NOT_AN_INT),
+    # a 5,001-digit argument is rejected in its domain words with the int in
+    # full, at any int-to-str limit, never with the limit's own message
+    "binomial-huge-negative-n": (
+        (binomial, -BIG, 0), bad(f"upper argument must be nonnegative, got n=-{BIG_TEXT}")),
+    "chow-params-huge-p": (
+        (ChowParams, BIG, 0, 0), bad(f"require 0 <= p <= n, got p={BIG_TEXT}, n=0")),
+    "chow-params-huge-negative-n": (
+        (ChowParams, 0, -BIG, 0), bad(f"require 0 <= p <= n, got p=0, n=-{BIG_TEXT}")),
+    "chow-params-huge-negative-d": (
+        (ChowParams, 0, 1, -BIG), bad(f"degree must be nonnegative, got d=-{BIG_TEXT}")),
+    "sp_euler-huge-negative-d": (
+        (sp_euler, 3, -BIG), bad(f"degree must be nonnegative, got d=-{BIG_TEXT}")),
+    "chow_series-huge-negative-order": (
+        (chow_series, 0, 1, -BIG), bad(f"order must be nonnegative, got -{BIG_TEXT}")),
+    "quaternionic-params-huge-negative-n": (
+        (QuaternionicParams, 0, -BIG, 0),
+        bad(f"quaternionic dimension must be >= 1, got n=-{BIG_TEXT}")),
+    "quaternionic-params-huge-p": (
+        (QuaternionicParams, BIG, 1, 0),
+        bad(f"require 0 <= p <= 2n-1, got p={BIG_TEXT} with n=1")),
+    "quaternionic-params-huge-n": (
+        (QuaternionicParams, -1, BIG, 0),
+        bad(f"require 0 <= p <= 2n-1, got p=-1 with n={BIG_TEXT}")),
+    "quaternionic-params-huge-negative-d": (
+        (QuaternionicParams, 0, 1, -BIG),
+        bad(f"degree must be nonnegative, got d=-{BIG_TEXT}")),
+    "geom-pow-huge-negative-exponent": (
+        (series_geom_pow, -BIG, 2), bad(f"exponent must be nonnegative, got -{BIG_TEXT}")),
+    "geom-pow-huge-negative-order": (
+        (series_geom_pow, 2, -BIG), bad(f"order must be nonnegative, got -{BIG_TEXT}")),
+    "run_suite-huge-negative-max_p": (
+        (run_suite, "all", -BIG), bad(f"max_p must be nonnegative, got -{BIG_TEXT}")),
 }
 
 

@@ -4,7 +4,10 @@ Exact integer arithmetic and independence from the interpreter's limits hold
 for every line, not only for the values a sweep happens to check: no module
 divides truly, names a float, calls itself by name, or touches the recursion
 or int-to-str limit, and each imports only the standard library and the
-package.  The module-level mutable state is listed once, in ``MUTABLE``.
+package.  The module-level mutable state is listed once, in ``MUTABLE``.  A
+raised message renders each value through ``_decimal``, the one int-to-text
+path, so a huge int prints in full under any limit; ``_record``, which
+defines it, is exempt, and ``RAW_FIELDS`` lists the text fields allowed.
 """
 
 import ast
@@ -27,6 +30,8 @@ MUTABLE_DISPLAYS = (ast.Dict, ast.List, ast.Set,
                     ast.DictComp, ast.ListComp, ast.SetComp)
 MUTABLE = {"chow._SUSPENSION", "chow._FUNCTIONAL", "chow._LOCK",
            "verify._SUITES"}
+# f-string fields of a raised message that hold text, never an int
+RAW_FIELDS = {"verify.label", "verify.', '.join(SUITE_NAMES)"}
 
 
 def _callee(call: ast.Call) -> str | None:
@@ -98,6 +103,26 @@ def mutable_state(source: str) -> list[tuple[int, str]]:
     return names
 
 
+def _rendered(value: ast.expr) -> bool:
+    """Whether ``value`` is a ``_decimal(...)`` call."""
+    return isinstance(value, ast.Call) \
+        and getattr(value.func, "id", None) == "_decimal"
+
+
+def raw_fields(source: str) -> list[tuple[int, str]]:
+    """Each (line, field) of an f-string in a ``raise`` of ``source`` whose
+    value is not a ``_decimal(...)`` call."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            fields = [field for text in ast.walk(node.exc)
+                      if isinstance(text, ast.JoinedStr) for field in text.values
+                      if isinstance(field, ast.FormattedValue)]
+            found += [(field.value.lineno, ast.unparse(field.value))
+                      for field in fields if not _rendered(field.value)]
+    return sorted(found)
+
+
 MODULES = {path.stem: path.read_text(encoding="utf-8")
            for path in sorted(SRC.glob("*.py"))}
 
@@ -144,3 +169,22 @@ def test_mutable_state_catches_a_cache():
     source = ("import threading\n__all__ = []\n_A = {}\n_B: list = []\n"
               "_C = threading.Lock()\n_D = dict()\n_E = (1, 2)\n_F = frozenset()")
     assert mutable_state(source) == [(3, "_A"), (4, "_B"), (5, "_C"), (6, "_D")]
+
+
+def test_raised_messages_render_through_decimal():
+    broken = [f"{name}.py:{line}: {field}" for name, source in MODULES.items()
+              if name != "_record" for line, field in raw_fields(source)
+              if f"{name}.{field}" not in RAW_FIELDS]
+    assert broken == []
+
+
+@pytest.mark.parametrize("source, found", [
+    ('raise ValueError(f"got {d}")', [(1, "d")]),
+    ('raise ValueError(f"got {d!r}")', [(1, "d")]),
+    ('raise ValueError(f"got {str(d)}")', [(1, "str(d)")]),
+    ('raise ValueError(\n    f"got {_decimal(d)}; "\n    f"or {n}")', [(3, "n")]),
+    ('raise ValueError(f"got {_decimal(d)}")', []),
+    ('x = f"got {d}"', []),
+], ids=["plain", "repr", "str", "second-line", "decimal", "no-raise"])
+def test_raw_field_rule_catches_its_plant(source, found):
+    assert raw_fields(source) == found
