@@ -7,8 +7,11 @@ Equality (only with the same type), hashing, the ``Name(field=value, ...)``
 repr and pickling follow from the field values; assigning or deleting a
 field raises ``AttributeError``.  The repr shows each int in full through
 ``_decimal``, the one int-to-text path, which ``verify``, the CLI and every
-other module's error messages share.
+other module's error messages share; ``_nonnegative`` is the one int-in
+rule, so a float argument is a ``TypeError`` whatever its sign.
 """
+
+from operator import index
 
 __all__ = ["Record", "field_setters"]
 
@@ -37,6 +40,14 @@ def _decimal(value) -> str:
         return _int_text(value)
     items = [_int_text(v) for v in value]
     return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
+
+
+def _nonnegative(value, what: str, name: str = "") -> int:
+    """``operator.index(value)``, refused in ``what``'s words if it is negative."""
+    value = index(value)
+    if value < 0:
+        raise ValueError(f"{what} must be nonnegative, got {name}{_decimal(value)}")
+    return value
 
 
 def field_setters(cls) -> tuple:

@@ -19,9 +19,9 @@ recursions and sweeps pay one comparison for it.
 
 import math
 from itertools import compress, repeat
-from operator import floordiv, mul
+from operator import floordiv, index, mul
 
-from ._record import _decimal
+from ._record import _nonnegative
 
 __all__ = ["binomial"]
 
@@ -40,7 +40,7 @@ def binomial(n: int, k: int) -> int:
 
     Out-of-range ``k`` yields 0 rather than an error, which keeps convolution
     sums index-safe without explicit range clamping at every call site; a
-    negative ``n`` is an error.
+    negative ``n`` is an error, and a float ``n`` or ``k`` is a ``TypeError``.
 
     >>> binomial(4, 2)
     6
@@ -50,8 +50,9 @@ def binomial(n: int, k: int) -> int:
     0
     """
     if n < 0:
-        raise ValueError(f"upper argument must be nonnegative, got n={_decimal(n)}")
+        _nonnegative(n, "upper argument", "n=")
     if k < 0:
+        index(n), index(k)      # math.comb and the window refuse a float
         return 0
     if k < _WINDOW_MIN_K or n - k < _WINDOW_MIN_K:
         return math.comb(n, k)

@@ -36,7 +36,7 @@ from collections.abc import Callable
 from itertools import accumulate
 from operator import attrgetter, index, mul
 
-from ._record import Record, _decimal, field_setters
+from ._record import Record, _decimal, _nonnegative, field_setters
 from .binomials import binomial
 from .series import TruncatedSeries, series_geom_pow, series_mul
 
@@ -73,11 +73,9 @@ class ChowParams(Record):
     d: int
 
     def __init__(self, p: int, n: int, d: int):
-        p, n, d = index(p), index(n), index(d)
+        p, n, d = index(p), index(n), _nonnegative(d, "degree", "d=")
         if not 0 <= p <= n:
             raise ValueError(f"require 0 <= p <= n, got p={_decimal(p)}, n={_decimal(n)}")
-        if d < 0:
-            raise ValueError(f"degree must be nonnegative, got d={_decimal(d)}")
         _set_p(self, p)
         _set_n(self, n)
         _set_d(self, d)
@@ -116,7 +114,7 @@ def sp_euler(chi: int, d: int) -> int:
     1
     """
     if d < 0:
-        raise ValueError(f"degree must be nonnegative, got d={_decimal(d)}")
+        _nonnegative(d, "degree", "d=")
     if chi > 0:
         return binomial(chi + d - 1, d)
     c = binomial(-chi, d)
@@ -303,8 +301,7 @@ def chow_series(p: int, n: int, order: int, method: str = SERIES_CLOSED) -> Trun
     (1, 3, 6)
     """
     p, n = attrgetter("p", "n")(ChowParams(p, n, 0))
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {_decimal(order)}")
+    order = _nonnegative(order, "order")
     if method == SERIES_CLOSED:
         return series_geom_pow(binomial(n + 1, p + 1), order)
     if method == SERIES_FUNCTIONAL:

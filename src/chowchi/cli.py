@@ -40,7 +40,7 @@ from .invariants import (
     quaternionic_euler_closed,
     quaternionic_p0_oracle,
 )
-from ._record import _decimal
+from ._record import _decimal, _nonnegative
 from .verify import SUITE_NAMES, run_suite
 
 __all__ = ["main", "build_parser", "EXIT_BROKEN_PIPE", "EXIT_INTERNAL_ERROR"]
@@ -118,8 +118,7 @@ def _cmd_quaternionic(args) -> tuple:
 
 def _cmd_table(args) -> tuple:
     # chow_series would reject it too, but as order, which is not an option of table
-    if args.max_d < 0:
-        raise ValueError(f"max_d must be nonnegative, got {_decimal(args.max_d)}")
+    _nonnegative(args.max_d, "max_d")
     # the closed series is the whole table; it also validates p and n
     coeffs = chow_series(args.p, args.n, args.max_d).coeffs
     rows = [(str(d), _decimal(chi)) for d, chi in enumerate(coeffs)]

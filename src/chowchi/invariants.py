@@ -12,7 +12,7 @@ Grassmannians for d = 1.
 
 from operator import attrgetter, index
 
-from ._record import Record, _decimal, field_setters
+from ._record import Record, _decimal, _nonnegative, field_setters
 from .binomials import binomial
 from .chow import sp_euler
 
@@ -37,14 +37,12 @@ class QuaternionicParams(Record):
     d: int
 
     def __init__(self, p: int, n: int, d: int):
-        p, n, d = index(p), index(n), index(d)
+        p, n, d = index(p), index(n), _nonnegative(d, "degree", "d=")
         if n < 1:
             raise ValueError(f"quaternionic dimension must be >= 1, got n={_decimal(n)}")
         if not 0 <= p <= 2 * n - 1:
             raise ValueError(
                 f"require 0 <= p <= 2n-1, got p={_decimal(p)} with n={_decimal(n)}")
-        if d < 0:
-            raise ValueError(f"degree must be nonnegative, got d={_decimal(d)}")
         _set_p(self, p)
         _set_n(self, n)
         _set_d(self, d)

@@ -8,7 +8,7 @@ unambiguous.  Values are immutable, safe to share and never hold a float.
 
 from operator import index, mul
 
-from ._record import Record, _decimal, field_setters
+from ._record import Record, _decimal, _nonnegative, field_setters
 
 __all__ = [
     "TruncatedSeries",
@@ -65,11 +65,7 @@ def series_geom_pow(m: int, order: int) -> TruncatedSeries:
     >>> series_geom_pow(6, 2).coeffs
     (1, 6, 21)
     """
-    m = index(m)
-    if m < 0:
-        raise ValueError(f"exponent must be nonnegative, got {_decimal(m)}")
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {_decimal(order)}")
+    m, order = _nonnegative(m, "exponent"), _nonnegative(order, "order")
     coeffs = [1]
     for d in range(1, order + 1):
         coeffs.append(coeffs[-1] * (m + d - 1) // d)

@@ -10,10 +10,9 @@ the CLI surfaces it as ``chowchi verify``.  The sweep sizes are chosen so
 the full run finishes in seconds.
 """
 
-import operator
 import time
 
-from ._record import Record, _decimal
+from ._record import Record, _decimal, _nonnegative
 from .binomials import binomial
 from .chow import (
     ChowParams,
@@ -259,10 +258,8 @@ def run_suite(
     ones its grids use.  ``"all"`` runs every suite into one report, and each
     of its failures carries the originating suite name first in ``inputs``.
     """
-    bounds = tuple(map(operator.index, (max_p, max_n, max_d, order)))
-    for label, bound in zip(("max_p", "max_n", "max_d", "order"), bounds):
-        if bound < 0:
-            raise ValueError(f"{label} must be nonnegative, got {_decimal(bound)}")
+    bounds = tuple(map(_nonnegative, (max_p, max_n, max_d, order),
+                       ("max_p", "max_n", "max_d", "order")))
     if name not in SUITE_NAMES:
         raise ValueError(
             f"unknown suite {_decimal(name)}; choose from {', '.join(SUITE_NAMES)}")

@@ -37,6 +37,11 @@ BIG, BIG_TEXT = 10**5000, "1" + "0" * 5000
 
 API = {
     "binomial-0-0": ((binomial, 0, 0), 1),
+    # every nonnegative argument is indexed before its sign is read, so a
+    # float is a TypeError whatever its sign, even where a negative int is 0
+    "binomial-negative-float-n": ((binomial, -1.0, 0), NOT_AN_INT),
+    "binomial-float-n-negative-k": ((binomial, 5.0, -1), NOT_AN_INT),
+    "binomial-negative-float-k": ((binomial, 5, -1.0), NOT_AN_INT),
     # records pass each field through operator.index: no float reaches a route,
     # nor the point count or the two quaternionic oracles, which validate
     # through them
@@ -71,6 +76,7 @@ API = {
     "sp_euler-negative-chi-odd-d": ((sp_euler, -2, 1), -2),
     "sp_euler-chi-1": ((sp_euler, 1, 7), 1),
     "sp_euler-negative-d": ((sp_euler, 3, -1), bad("degree must be nonnegative, got d=-1")),
+    "sp_euler-negative-float-d": ((sp_euler, 3, -0.5), NOT_AN_INT),
     # a loop over the d factors would take seconds at this degree
     "sp_euler-5-200000": ((sp_euler, 5, 200000), math.comb(200004, 200000)),
     "sp_euler-minus-5-200000": ((sp_euler, -5, 200000), 0),
@@ -94,6 +100,10 @@ API = {
     "chow_series-closed-float-p": ((chow_series, 1.0, 2, 3, "closed"), NOT_AN_INT),
     "chow_series-functional-float-n": ((chow_series, 1, 2.0, 3, "functional"), NOT_AN_INT),
     "chow_series-functional-float-p": ((chow_series, 1.0, 2, 3, "functional"), NOT_AN_INT),
+    "chow_series-closed-negative-float-order": (
+        (chow_series, 0, 1, -0.5, "closed"), NOT_AN_INT),
+    "chow_series-functional-negative-float-order": (
+        (chow_series, 0, 1, -0.5, "functional"), NOT_AN_INT),
     # invariants
     "quaternionic-3-2-4": ((quaternionic_euler_closed, QuaternionicParams(3, 2, 4)), 1),
     "quaternionic-1-2-2": ((quaternionic_euler_closed, QuaternionicParams(1, 2, 2)), 21),
@@ -113,6 +123,7 @@ API = {
     # series; m = 2.5 would give (1, 2.0, 3.0, 4.0), equal to the series for m = 2
     "geom-pow-float-exponent": ((series_geom_pow, 2.5, 3), NOT_AN_INT),
     "geom-pow-whole-float-exponent": ((series_geom_pow, 2.0, 3), NOT_AN_INT),
+    "geom-pow-negative-float-order": ((series_geom_pow, 3, -0.5), NOT_AN_INT),
     "geom-pow-negative-exponent": ((series_geom_pow, -1, 3),
                                    bad("exponent must be nonnegative, got -1")),
     "geom-pow-negative-order": ((series_geom_pow, 3, -1),

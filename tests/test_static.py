@@ -7,7 +7,9 @@ or int-to-str limit, and each imports only the standard library and the
 package.  The module-level mutable state is listed once, in ``MUTABLE``.  A
 raised message renders each value through ``_decimal``, the one int-to-text
 path, so a huge int prints in full under any limit; ``_record``, which
-defines it, is exempt, and ``RAW_FIELDS`` lists the text fields allowed.
+defines it, is exempt, and ``RAW_FIELDS`` lists the text fields allowed, each
+of which some raise still uses.  Only ``_record`` words the refusal of a
+negative argument, in ``_nonnegative``, the one rule every module calls.
 """
 
 import ast
@@ -31,7 +33,9 @@ MUTABLE_DISPLAYS = (ast.Dict, ast.List, ast.Set,
 MUTABLE = {"chow._SUSPENSION", "chow._FUNCTIONAL", "chow._LOCK",
            "verify._SUITES"}
 # f-string fields of a raised message that hold text, never an int
-RAW_FIELDS = {"verify.label", "verify.', '.join(SUITE_NAMES)"}
+RAW_FIELDS = {"verify.', '.join(SUITE_NAMES)"}
+# the words of _record._nonnegative's refusal
+NONNEGATIVE = "must be nonnegative"
 
 
 def _callee(call: ast.Call) -> str | None:
@@ -123,6 +127,14 @@ def raw_fields(source: str) -> list[tuple[int, str]]:
     return sorted(found)
 
 
+def restated_refusals(source: str) -> list[int]:
+    """Each line of a string constant of ``source``, an f-string's text
+    included, that holds the words ``NONNEGATIVE``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and NONNEGATIVE in node.value)
+
+
 MODULES = {path.stem: path.read_text(encoding="utf-8")
            for path in sorted(SRC.glob("*.py"))}
 
@@ -172,10 +184,11 @@ def test_mutable_state_catches_a_cache():
 
 
 def test_raised_messages_render_through_decimal():
-    broken = [f"{name}.py:{line}: {field}" for name, source in MODULES.items()
-              if name != "_record" for line, field in raw_fields(source)
-              if f"{name}.{field}" not in RAW_FIELDS]
-    assert broken == []
+    found = [(f"{name}.{field}", f"{name}.py:{line}: {field}")
+             for name, source in MODULES.items() if name != "_record"
+             for line, field in raw_fields(source)]
+    assert [where for field, where in found if field not in RAW_FIELDS] == []
+    assert sorted(RAW_FIELDS - {field for field, _ in found}) == [], "listed, raised nowhere"
 
 
 @pytest.mark.parametrize("source, found", [
@@ -188,3 +201,19 @@ def test_raised_messages_render_through_decimal():
 ], ids=["plain", "repr", "str", "second-line", "decimal", "no-raise"])
 def test_raw_field_rule_catches_its_plant(source, found):
     assert raw_fields(source) == found
+
+
+def test_only_record_words_the_nonnegative_rule():
+    restated = [f"{name}.py:{line}" for name, source in MODULES.items()
+                if name != "_record" for line in restated_refusals(source)]
+    assert restated == []
+    assert restated_refusals(MODULES["_record"]) != []
+
+
+@pytest.mark.parametrize("source, found", [
+    ('raise ValueError(f"order must be nonnegative, got {_decimal(order)}")', [1]),
+    ('x = 1\nMESSAGE = "d must be nonnegative"', [2]),
+    ('_nonnegative(order, "order")', []),
+], ids=["f-string", "constant", "call"])
+def test_nonnegative_rule_catches_its_plant(source, found):
+    assert restated_refusals(source) == found

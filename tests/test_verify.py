@@ -1,6 +1,8 @@
 """Verification harness: suites pass on honest code and catch planted lies."""
 
+import copy
 import importlib
+import pickle
 import pkgutil
 import sys
 import typing
@@ -53,6 +55,10 @@ def test_report_check_records_failure():
     assert fresh == VerificationReport(suite="adhoc", cases_run=0)
     with pytest.raises(TypeError):
         hash(fresh)     # mutable, so unhashable
+    # pickling and copying rebuild the report through its four fields
+    for clone in (pickle.loads(pickle.dumps(report)), copy.copy(report),
+                  copy.deepcopy(report)):
+        assert clone == report and clone is not report
 
 
 def _entry(suite, check, inputs, expected, actual):
