@@ -1,10 +1,12 @@
 """Immutable value records whose fields are their ``__slots__``.
 
-A subclass lists its fields in ``__slots__`` and writes an ``__init__`` that
-validates its arguments and stores each field through the setters that
+Every record of the package is one, ``verify``'s report included.  A subclass
+lists its fields in ``__slots__`` and writes an ``__init__`` that validates
+its arguments and stores each field through the setters that
 ``field_setters`` returns.
 Equality (only with the same type), hashing, the ``Name(field=value, ...)``
-repr and pickling follow from the field values; assigning or deleting a
+repr and pickling follow from the field values, so a record hashes when its
+fields do (a report's failure entries are dicts); assigning or deleting a
 field raises ``AttributeError``.  The repr shows each int in full through
 ``_decimal``, the one int-to-text path, which ``verify``, the CLI and every
 other module's error messages share; ``_nonnegative`` is the one int-in
@@ -54,7 +56,7 @@ def field_setters(cls) -> tuple:
     """The ``__set__`` of each slot of ``cls``, in ``__slots__`` order.
 
     Each stores its field past the record's assignment guard.  Calling a slot
-    descriptor directly skips the attribute lookup of ``object.__setattr__``,
+    descriptor directly skips the attribute lookup of a generic assignment,
     and verify builds records by the hundred thousand.
     """
     return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)

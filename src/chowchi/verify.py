@@ -3,7 +3,7 @@
 Each suite recomputes a family of exact identities by two routes and records
 every disagreement as the entry its report prints, with the inputs and both
 paths and values as strings, a value of any size in full decimal under the
-caller's int-to-str digit limit; an empty failure list is the pass condition.
+caller's int-to-str digit limit; an empty failure tuple is the pass condition.
 ``run_suite`` is the one entry, and no suite has a public function of its
 own: it runs a suite by name, or every suite in sequence for ``"all"``, and
 the CLI surfaces it as ``chowchi verify``.  The sweep sizes are chosen so
@@ -12,7 +12,7 @@ the full run finishes in seconds.
 
 import time
 
-from ._record import Record, _decimal, _nonnegative
+from ._record import Record, _decimal, _nonnegative, field_setters
 from .binomials import binomial
 from .chow import (
     ChowParams,
@@ -36,48 +36,24 @@ from .series import TruncatedSeries, series_geom_pow, series_mul
 __all__ = ["VerificationReport", "SUITE_NAMES", "run_suite"]
 
 class VerificationReport(Record):
-    """Outcome of a consistency sweep: case count, failure entries, wall time.
-
-    Unlike the other records it is mutable and unhashable; ``run_suite`` fills it in.
-    """
+    """Outcome of a consistency sweep: case count, failure entries, wall time."""
 
     __slots__ = ("suite", "cases_run", "failures", "elapsed_ms")
     suite: str
     cases_run: int
-    failures: list[dict]
+    failures: tuple[dict, ...]
     elapsed_ms: int
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
-    def __init__(self, suite: str, cases_run: int = 0,
-                 failures: list[dict] | None = None, elapsed_ms: int = 0):
-        self.suite = suite
-        self.cases_run = cases_run
-        self.failures = [] if failures is None else failures
-        self.elapsed_ms = elapsed_ms
+    def __init__(self, suite: str, cases_run: int, failures: tuple[dict, ...],
+                 elapsed_ms: int):
+        _set_suite(self, suite)
+        _set_cases_run(self, cases_run)
+        _set_failures(self, failures)
+        _set_elapsed_ms(self, elapsed_ms)
 
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    def check(
-        self,
-        inputs: dict[str, object],
-        expected_path: str,
-        expected: object,
-        actual_path: str,
-        actual: object,
-    ) -> None:
-        """Count one comparison; a mismatch is kept as the entry it prints as,
-        its two values rendered by ``_decimal``."""
-        self.cases_run += 1
-        if expected != actual:
-            self.failures.append({
-                "inputs": {k: str(v) for k, v in inputs.items()},
-                "expected": {"path": expected_path, "value": _decimal(expected)},
-                "actual": {"path": actual_path, "value": _decimal(actual)},
-            })
 
     def to_json_dict(self) -> dict[str, object]:
         """JSON-ready dict; every numeric field is a decimal string."""
@@ -87,6 +63,10 @@ class VerificationReport(Record):
             "failures": list(self.failures),
             "elapsed_ms": str(self.elapsed_ms),
         }
+
+
+_set_suite, _set_cases_run, _set_failures, _set_elapsed_ms = field_setters(
+    VerificationReport)
 
 
 # geometric powers (1-t)^{-m}, m <= _MAX_POW, in the series suite
@@ -233,9 +213,10 @@ def _quaternionic(check, max_p: int, max_n: int, max_d: int, order: int):
               "product", series_mul(series_geom_pow(m, top), reflected).coeffs)
 
 
-# Each suite takes the report's ``check``, calls it once per case, and looks
-# its routes up in this module's globals as it runs, so a caller that rebinds
-# a route here sees every call.  "all" runs the suites in this order.
+# Each suite takes ``run_suite``'s ``tally`` as its ``check``, calls it once
+# per case, and looks its routes up in this module's globals as it runs, so a
+# caller that rebinds a route here sees every call.  "all" runs the suites in
+# this order.
 _SUITES = {
     "recursion": _recursion,
     "series": _series,
@@ -263,14 +244,27 @@ def run_suite(
     if name not in SUITE_NAMES:
         raise ValueError(
             f"unknown suite {_decimal(name)}; choose from {', '.join(SUITE_NAMES)}")
-    report = VerificationReport(name)
+    cases, failures = 0, []
+
+    def tally(inputs: dict[str, object], expected_path: str, expected: object,
+              actual_path: str, actual: object) -> None:
+        """Count one comparison; a mismatch is kept as the entry it prints as,
+        its two values rendered by ``_decimal``, and under ``"all"`` the
+        running suite goes first in its inputs."""
+        nonlocal cases
+        cases += 1
+        if expected != actual:
+            if name == "all":
+                inputs = {"suite": suite, **inputs}
+            failures.append({
+                "inputs": {k: str(v) for k, v in inputs.items()},
+                "expected": {"path": expected_path, "value": _decimal(expected)},
+                "actual": {"path": actual_path, "value": _decimal(actual)},
+            })
+
     t0 = time.perf_counter()
     for suite, sweep in _SUITES.items():
         if name in (suite, "all"):
-            start = len(report.failures)
-            sweep(report.check, *bounds)
-            if name == "all":   # the suite goes first in each failure's inputs
-                for entry in report.failures[start:]:
-                    entry["inputs"] = {"suite": suite, **entry["inputs"]}
-    report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
-    return report
+            sweep(tally, *bounds)
+    elapsed_ms = int((time.perf_counter() - t0) * 1000)
+    return VerificationReport(name, cases, tuple(failures), elapsed_ms)

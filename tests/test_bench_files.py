@@ -3,11 +3,17 @@
 ``tools/bench_snapshot.py`` writes one.  Each must parse, carry every metric
 that ``BENCHMARK.json`` names, end to end and per layer, for every workload
 and with the same unit, and name its commit and whether its tree was clean.
+A benchmark run that fails must still show the writer why.
 """
 
+import importlib.util
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -36,3 +42,16 @@ def test_bench_files_are_whole():
         assert isinstance(point["clean"], bool), path.name
         found = units(point)
         assert {key: found.get(key) for key in want} == want, path.name
+
+
+def test_snapshot_passes_a_failing_runs_stderr_through(capfd):
+    spec = importlib.util.spec_from_file_location(
+        "bench_snapshot", ROOT / "tools" / "bench_snapshot.py")
+    snapshot = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(snapshot)
+    child = [sys.executable, "-c", "import sys; "
+             "print('bench: no chowchi sources under /x', file=sys.stderr); sys.exit(2)"]
+    with pytest.raises(subprocess.CalledProcessError) as failed:
+        snapshot.run(child)
+    assert failed.value.returncode == 2
+    assert capfd.readouterr().err == "bench: no chowchi sources under /x\n"

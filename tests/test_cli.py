@@ -46,7 +46,7 @@ def test_verify_passes_only_typed_bounds(monkeypatch, argv, passed):
 
     def recorder(*args, **kwargs):
         calls.append((args, kwargs))
-        return verify_mod.VerificationReport("all")
+        return verify_mod.VerificationReport("all", 0, (), 0)
 
     monkeypatch.setattr(cli_mod, "run_suite", recorder)
     code, _, err = cli_run(argv)

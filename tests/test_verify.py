@@ -38,27 +38,32 @@ def test_elapsed_ms_is_whole_milliseconds_of_the_clock(monkeypatch):
     assert run_suite("base-cases", 0, 0, 0, 0).elapsed_ms == 2000
 
 
-def test_report_check_records_failure():
-    report = VerificationReport(suite="adhoc")
-    report.check({"p": "1"}, "left", 3, "right", 4)
-    assert not report.ok
-    assert report.cases_run == 1
-    failure = report.failures[0]
-    assert failure["expected"]["value"] == "3"
-    assert failure["actual"]["value"] == "4"
-    assert failure["inputs"] == {"p": "1"}
-    # each report owns its failure list
-    fresh = VerificationReport("adhoc")
-    assert fresh.failures == [] and fresh.failures is not report.failures
-    assert repr(fresh) == (
-        "VerificationReport(suite='adhoc', cases_run=0, failures=[], elapsed_ms=0)")
-    assert fresh == VerificationReport(suite="adhoc", cases_run=0)
-    with pytest.raises(TypeError):
-        hash(fresh)     # mutable, so unhashable
+def test_report_is_a_value(monkeypatch):
+    # run_suite builds the report once; no field of it changes afterwards
+    recursive = chow.chow_euler_recursive
+    plant(monkeypatch, recursive, one_too_large(recursive))
+    report = run_suite("recursion", 0, 0, 0, 0)
+    assert (report.suite, report.cases_run, report.ok) == ("recursion", 3, False)
+    assert report.failures == ({
+        "inputs": {"check": "recursive-vs-closed", "p": "0", "n": "0", "d": "0"},
+        "expected": {"path": "closed", "value": "1"},
+        "actual": {"path": "recursive", "value": "2"},
+    },)
+    for name in VerificationReport.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(report, name, getattr(report, name))
+        with pytest.raises(AttributeError):
+            delattr(report, name)
     # pickling and copying rebuild the report through its four fields
     for clone in (pickle.loads(pickle.dumps(report)), copy.copy(report),
                   copy.deepcopy(report)):
         assert clone == report and clone is not report
+    with pytest.raises(TypeError):
+        hash(report)    # its failure entries are dicts
+    clean = VerificationReport("adhoc", 0, (), 0)
+    assert repr(clean) == (
+        "VerificationReport(suite='adhoc', cases_run=0, failures=(), elapsed_ms=0)")
+    assert clean.ok and hash(clean) == hash(VerificationReport("adhoc", 0, (), 0))
 
 
 def _entry(suite, check, inputs, expected, actual):
@@ -241,11 +246,11 @@ def test_huge_mismatch_renders_under_the_callers_digit_limit(monkeypatch):
     with int_digit_limit(4321):
         failures = run_suite("recursion", 0, 0, 0, 0).failures
         assert sys.get_int_max_str_digits() == 4321
-    assert failures == [{
+    assert failures == ({
         "inputs": {"check": "recursive-vs-closed", "p": "0", "n": "0", "d": "0"},
         "expected": {"path": "closed", "value": "1"},
         "actual": {"path": "recursive", "value": "1" + "0" * 5000},
-    }]
+    },)
 
 
 # explicit ids: pytest would name an int case by its str()
@@ -319,8 +324,7 @@ def test_cases_run_per_suite(bounds, counts):
 
 
 def test_annotations_resolve():
-    for method in (chow._cell, VerificationReport.check,
-                   VerificationReport.to_json_dict):
+    for method in (chow._cell, run_suite, VerificationReport.to_json_dict):
         assert typing.get_type_hints(method)
 
 

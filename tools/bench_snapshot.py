@@ -43,8 +43,9 @@ def git(*args: str) -> str:
 
 
 def run(command: list[str]) -> dict:
-    """The last stdout line of ``command``, parsed."""
-    out = subprocess.run(command, cwd=ROOT, capture_output=True, text=True,
+    """The last stdout line of ``command``, parsed; its stderr is not captured,
+    so the reason a failing run gives reaches the terminal."""
+    out = subprocess.run(command, cwd=ROOT, stdout=subprocess.PIPE, text=True,
                          check=True).stdout
     return json.loads(out.splitlines()[-1])
 
