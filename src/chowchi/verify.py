@@ -51,19 +51,6 @@ class VerificationReport(Record):
         _set_failures(self, failures)
         _set_elapsed_ms(self, elapsed_ms)
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def to_json_dict(self) -> dict[str, object]:
-        """JSON-ready dict; every numeric field is a decimal string."""
-        return {
-            "suite": self.suite,
-            "cases_run": str(self.cases_run),
-            "failures": list(self.failures),
-            "elapsed_ms": str(self.elapsed_ms),
-        }
-
 
 _set_suite, _set_cases_run, _set_failures, _set_elapsed_ms = field_setters(
     VerificationReport)

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from chowchi.chow import ChowParams, EulerValue
 from chowchi.invariants import QuaternionicParams
 from chowchi.series import TruncatedSeries, series_geom_pow, series_mul
+from chowchi.verify import VerificationReport
 
 
 def test_order_and_coefficients():
@@ -38,6 +39,9 @@ VALUES = [
     ("coeffs", TruncatedSeries((10**5000, -(10**4500 - 1))),
      TruncatedSeries(coeffs=(10**5000, -(10**4500 - 1))),
      "TruncatedSeries(coeffs=(1" + "0" * 5000 + ", -" + "9" * 4500 + "))"),
+    ("failures", VerificationReport("adhoc", 0, (), 0),
+     VerificationReport(suite="adhoc", cases_run=0, failures=(), elapsed_ms=0),
+     "VerificationReport(suite='adhoc', cases_run=0, failures=(), elapsed_ms=0)"),
 ]
 
 
