@@ -68,14 +68,13 @@ def _recursion(check, max_p: int, max_n: int, max_d: int, order: int):
     every value, the degree-one Pascal reduction, and the monomial count of
     each divisor space against the suspension recursion at (p, p + 1, d).
     """
-    order = max(order, max_d)
     for n in range(max_n + 1):
         for p in range(min(max_p, n) + 1):
-            # grow the suspension row to max_d and the functional cell to
-            # order once, so each degree below is a lookup instead of a scan
-            # of the whole box
-            chow_euler_recursive(ChowParams(p, n, max_d))
-            chow_euler_series(ChowParams(p, n, order))
+            # grow both tables to max_d once, as the functional table rebuilds
+            # a cell whole when it grows: each degree below is then a lookup
+            top = ChowParams(p, n, max_d)
+            chow_euler_recursive(top)
+            chow_euler_series(top)
             for d in range(max_d + 1):
                 params = ChowParams(p, n, d)
                 closed = chow_euler_closed(params).chi

@@ -37,6 +37,8 @@ BIG, BIG_TEXT = 10**5000, "1" + "0" * 5000
 
 API = {
     "binomial-0-0": ((binomial, 0, 0), 1),
+    "binomial-negative-n": ((binomial, -1, 0),
+                            bad("upper argument must be nonnegative, got n=-1")),
     # every nonnegative argument is indexed before its sign is read, so a
     # float is a TypeError whatever its sign, even where a negative int is 0
     "binomial-negative-float-n": ((binomial, -1.0, 0), NOT_AN_INT),
@@ -137,6 +139,12 @@ API = {
         bad("series order mismatch: 1 != 2")),
     # verify; its bounds pass through operator.index, whether or not the
     # suite reads them
+    "run_suite-unknown-name": (
+        (run_suite, "spectral", 2, 3, 4, 6),
+        bad("unknown suite 'spectral'; choose from recursion, series, quaternionic, "
+            "base-cases, all")),
+    "run_suite-negative-max_p": ((run_suite, "recursion", -1, 3, 4, 6),
+                                 bad("max_p must be nonnegative, got -1")),
     "run_suite-float-unread-order": ((run_suite, "base-cases", 0, 0, 0, 0.5), NOT_AN_INT),
     "run_suite-float-max_p": ((run_suite, "recursion", 1.0, 1, 1, 1), NOT_AN_INT),
     # a 5,001-digit argument is rejected in its domain words with the int in

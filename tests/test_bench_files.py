@@ -2,7 +2,8 @@
 
 ``tools/bench_snapshot.py`` writes one.  Each must parse, carry every metric
 that ``BENCHMARK.json`` names, end to end and per layer, for every workload
-and with the same unit, and name its commit and whether its tree was clean.
+and with the same unit, name its commit and whether its tree was clean, and
+hold only runs that were correct and failed no op.
 A benchmark run that fails must still show the writer why.
 """
 
@@ -42,6 +43,12 @@ def test_bench_files_are_whole():
         assert isinstance(point["clean"], bool), path.name
         found = units(point)
         assert {key: found.get(key) for key in want} == want, path.name
+        # a failed op ranks above every success in the percentiles, so a
+        # point is comparable with another only if each of its runs is clean
+        for run in point["runs"]:
+            result = run["result"]
+            assert (result["correct"], result["failed"]) == (True, 0), \
+                (path.name, run["workload"])
 
 
 def test_snapshot_passes_a_failing_runs_stderr_through(capfd):

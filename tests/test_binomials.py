@@ -2,16 +2,10 @@
 
 import math
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from chowchi import binomials
 from chowchi.binomials import binomial
-
-
-def test_negative_n_rejected():
-    with pytest.raises(ValueError, match="^upper argument must be nonnegative, got n=-1$"):
-        binomial(-1, 0)
 
 
 def test_matches_stdlib_comb():
