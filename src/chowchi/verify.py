@@ -222,8 +222,9 @@ def run_suite(
     """Run the suite ``name``, one of ``SUITE_NAMES``.
 
     Every suite takes the same bounds, nonnegative integers, and reads the
-    ones its grids use.  ``"all"`` runs every suite into one report, and each
-    of its failures carries the originating suite name first in ``inputs``.
+    ones its grids use.  Each failure's ``inputs`` starts with its suite and
+    check, so ``"all"``, which runs every suite into one report, reports
+    exactly the failures of the suites run one by one, in ``_SUITES`` order.
     """
     bounds = tuple(map(_nonnegative, (max_p, max_n, max_d, order),
                        ("max_p", "max_n", "max_d", "order")))
@@ -235,22 +236,20 @@ def run_suite(
     def tally(inputs: dict[str, object], expected_path: str, expected: object,
               actual_path: str, actual: object) -> None:
         """Count one comparison; a mismatch is kept as the entry it prints as,
-        its two values rendered by ``_decimal``, and under ``"all"`` the
-        running suite goes first in its inputs."""
+        the running suite first in its inputs and its two values rendered by
+        ``_decimal``."""
         nonlocal cases
         cases += 1
         if expected != actual:
-            if name == "all":
-                inputs = {"suite": suite, **inputs}
             failures.append({
-                "inputs": {k: str(v) for k, v in inputs.items()},
+                "inputs": {k: str(v) for k, v in {"suite": suite, **inputs}.items()},
                 "expected": {"path": expected_path, "value": _decimal(expected)},
                 "actual": {"path": actual_path, "value": _decimal(actual)},
             })
 
-    t0 = time.perf_counter()
+    t0 = time.perf_counter_ns()
     for suite, sweep in _SUITES.items():
         if name in (suite, "all"):
             sweep(tally, *bounds)
-    elapsed_ms = int((time.perf_counter() - t0) * 1000)
+    elapsed_ms = (time.perf_counter_ns() - t0) // 1_000_000
     return VerificationReport(name, cases, tuple(failures), elapsed_ms)

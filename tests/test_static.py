@@ -2,14 +2,15 @@
 
 Exact integer arithmetic and independence from the interpreter's limits hold
 for every line, not only for the values a sweep happens to check: no module
-divides truly, names a float, calls itself by name, or touches the recursion
-or int-to-str limit, and each imports only the standard library and the
-package.  The module-level mutable state is listed once, in ``MUTABLE``.  A
-raised message renders each value through ``_decimal``, the one int-to-text
-path, so a huge int prints in full under any limit; ``_record``, which
-defines it, is exempt, and ``RAW_FIELDS`` lists the text fields allowed, each
-of which some raise still uses.  Only ``_record`` words the refusal of a
-negative argument, in ``_nonnegative``, the one rule every module calls.
+divides truly, names a float or a float clock, calls itself by name, or
+touches the recursion or int-to-str limit, and each imports only the
+standard library and the package.  The module-level mutable state is listed
+once, in ``MUTABLE``.  A raised message renders each value through
+``_decimal``, the one int-to-text path, so a huge int prints in full under
+any limit; ``_record``, which defines it, is exempt, and ``RAW_FIELDS``
+lists the text fields allowed, each of which some raise still uses.  Only
+``_record`` words the refusal of a negative argument, in ``_nonnegative``,
+the one rule every module calls.
 """
 
 import ast
@@ -24,6 +25,8 @@ SRC = pathlib.Path(chowchi.__file__).parent
 # math's exact-integer functions; any other math name is float-valued
 INT_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm", "prod"}
 FLOAT_CALLS = {"float", "round", "complex"}
+# time's float-valued clocks; each has an integer ``*_ns`` twin
+FLOAT_CLOCKS = {"time", "perf_counter", "monotonic", "process_time", "thread_time"}
 LIMITS = {"setrecursionlimit", "set_int_max_str_digits"}
 IMPORTABLE = sys.stdlib_module_names | {"chowchi"}
 # callees whose result is a mutable container or a lock
@@ -53,6 +56,8 @@ def _name_rule(module: str | None, name: str) -> str | None:
     """The rule that the name ``module.name`` breaks, if any."""
     if module == "math" and name not in INT_MATH:
         return f"float math name math.{name}"
+    if module == "time" and name in FLOAT_CLOCKS:
+        return f"float clock time.{name}"
     if module == "sys" and name in LIMITS:
         return f"global limit sys.{name}"
     return None
@@ -172,6 +177,8 @@ def test_module_level_mutable_state_is_listed():
     ("from gmpy2 import mpz", (1, "import of gmpy2")),
     ("def f(n):\n    return n and f(n - 1)", (2, "f calls itself")),
     ("class A:\n    def f(self, n):\n        return self.f(n)", (3, "f calls itself")),
+    ("import time\nt = time.perf_counter()", (2, "float clock time.perf_counter")),
+    ("from time import monotonic", (1, "float clock time.monotonic")),
 ])
 def test_rule_catches_its_plant(source, finding):
     assert findings(source) == [finding]

@@ -20,9 +20,10 @@ from oracles import clear_tables, int_digit_limit, one_too_large, plant
 
 
 def test_elapsed_ms_is_whole_milliseconds_of_the_clock(monkeypatch):
-    # a stub clock read twice, 2 s apart; the real time module is left alone
-    ticks = iter([10.0, 12.0])
-    monkeypatch.setattr(verify_mod, "time", SimpleNamespace(perf_counter=ticks.__next__))
+    # a stub clock read twice, 2 s and 999,999 ns apart: the part below a
+    # whole millisecond is dropped; the real time module is left alone
+    ticks = iter([10 * 10**9, 12 * 10**9 + 999_999])
+    monkeypatch.setattr(verify_mod, "time", SimpleNamespace(perf_counter_ns=ticks.__next__))
     assert run_suite("base-cases", 0, 0, 0, 0).elapsed_ms == 2000
 
 
@@ -33,7 +34,8 @@ def test_report_is_a_value(monkeypatch):
     report = run_suite("recursion", 0, 0, 0, 0)
     assert (report.suite, report.cases_run, not report.failures) == ("recursion", 3, False)
     assert report.failures == ({
-        "inputs": {"check": "recursive-vs-closed", "p": "0", "n": "0", "d": "0"},
+        "inputs": {"suite": "recursion", "check": "recursive-vs-closed",
+                   "p": "0", "n": "0", "d": "0"},
         "expected": {"path": "closed", "value": "1"},
         "actual": {"path": "recursive", "value": "2"},
     },)
@@ -46,7 +48,7 @@ def test_report_is_a_value(monkeypatch):
 
 
 def _entry(suite, check, inputs, expected, actual):
-    """An ``all`` report's failure entry; each side is a (path, value) pair."""
+    """A report's failure entry; each side is a (path, value) pair."""
     return {"inputs": {"suite": suite, "check": check, **inputs},
             "expected": dict(zip(("path", "value"), expected)),
             "actual": dict(zip(("path", "value"), actual))}
@@ -175,18 +177,23 @@ _KILLS = {
 
 @pytest.fixture(scope="module")
 def kill_matrix():
-    """Each row's failing checks and entries; tables are emptied around a row,
-    since a planted grower leaves wrong cells behind."""
+    """Each row's failing checks and entries under ``all``, which must be its
+    four suites' failures joined in order; tables are emptied before each
+    run, since a planted grower leaves wrong cells behind."""
     matrix = {}
     for name, (fn, wrong, *_) in _KILLS.items():
-        clear_tables()
+        reports = {}
         try:
             with pytest.MonkeyPatch.context() as mp:
                 if fn:
                     plant(mp, fn, wrong)
-                failures = run_suite("all").failures
+                for suite in SUITE_NAMES:
+                    clear_tables()
+                    reports[suite] = run_suite(suite).failures
         finally:
             clear_tables()
+        failures = reports.pop("all")
+        assert sum(reports.values(), ()) == failures, name
         matrix[name] = Counter(f["inputs"]["check"] for f in failures), failures
     return matrix
 
@@ -229,7 +236,8 @@ def test_huge_mismatch_renders_under_the_callers_digit_limit(monkeypatch):
         failures = run_suite("recursion", 0, 0, 0, 0).failures
         assert sys.get_int_max_str_digits() == 4321
     assert failures == ({
-        "inputs": {"check": "recursive-vs-closed", "p": "0", "n": "0", "d": "0"},
+        "inputs": {"suite": "recursion", "check": "recursive-vs-closed",
+                   "p": "0", "n": "0", "d": "0"},
         "expected": {"path": "closed", "value": "1"},
         "actual": {"path": "recursive", "value": "1" + "0" * 5000},
     },)
